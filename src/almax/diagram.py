@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 ArcEnd = tuple[int, int]  # (crossing index, slot 0..3)
 
@@ -175,17 +174,35 @@ class Resolution:
     def circle_count(self) -> int:
         return len(self.circles)
 
-    def circle_of(self, end: ArcEnd) -> ArcEnd:
-        return self.end_circle[end]
-
 
 _A_PAIRS = ((0, 1), (2, 3))
 _B_PAIRS = ((0, 3), (1, 2))
 
 
-@lru_cache(maxsize=8192)
-def _resolve_cached(diagram: Diagram, labels: tuple[str, ...]) -> Resolution:
+def arc_partners(diagram: Diagram) -> dict[ArcEnd, ArcEnd]:
+    """The other end of each arc: a perfect matching on the arc ends."""
+    partner: dict[ArcEnd, ArcEnd] = {}
+    for first, second in _arc_occurrences(diagram.crossings).values():
+        partner[first] = second
+        partner[second] = first
+    return partner
+
+
+def resolve(diagram: Diagram, state: State) -> Resolution:
+    """Smooth every crossing of ``diagram`` according to ``state``.
+
+    Circles are computed by a disjoint-set union over arc ends: the two
+    global ends of each arc are unified, and at each crossing the label's
+    slot pairs are unified.  Each crossing contributes one chord joining
+    the circles of its slots 0 and 2.  Nothing is cached: callers that walk
+    many states of one diagram derive them incrementally instead (see
+    ``khovanov._Ctx``), and this function is their reference.
+    """
     c = diagram.crossing_count
+    if len(state.labels) != c:
+        raise DiagramError(
+            f"state defined on {len(state.labels)} crossings, diagram has {c}"
+        )
     if c == 0:
         return Resolution(circles=(FREE_LOOP,), chords=(), end_circle={})
 
@@ -209,33 +226,18 @@ def _resolve_cached(diagram: Diagram, labels: tuple[str, ...]) -> Resolution:
                 rx, ry = ry, rx
             parent[ry] = rx
 
-    for ends in _arc_occurrences(diagram.crossings).values():
-        union(ends[0], ends[1])
-    for ci, label in enumerate(labels):
+    for first, second in _arc_occurrences(diagram.crossings).values():
+        union(first, second)
+    for ci, label in enumerate(state.labels):
         for s, t in _A_PAIRS if label == "A" else _B_PAIRS:
             union((ci, s), (ci, t))
 
     end_circle = {end: find(end) for end in parent}
     circles = tuple(sorted(set(end_circle.values())))
     chords = tuple(
-        (end_circle[(ci, 0)], end_circle[(ci, 2)], labels[ci]) for ci in range(c)
+        (end_circle[(ci, 0)], end_circle[(ci, 2)], state.labels[ci]) for ci in range(c)
     )
     return Resolution(circles=circles, chords=chords, end_circle=end_circle)
-
-
-def resolve(diagram: Diagram, state: State) -> Resolution:
-    """Smooth every crossing of ``diagram`` according to ``state``.
-
-    Circles are computed by a disjoint-set union over arc ends: the two
-    global ends of each arc are unified, and at each crossing the label's
-    slot pairs are unified.  Each crossing contributes one chord joining
-    the circles of its slots 0 and 2.
-    """
-    if len(state.labels) != diagram.crossing_count:
-        raise DiagramError(
-            f"state defined on {len(state.labels)} crossings, diagram has {diagram.crossing_count}"
-        )
-    return _resolve_cached(diagram, state.labels)
 
 
 def mirror(diagram: Diagram) -> Diagram:

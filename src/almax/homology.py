@@ -292,10 +292,6 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     return (1,) * units + tuple(tail)
 
 
-def rank(matrix) -> int:
-    return len(smith_normal_form(matrix))
-
-
 @dataclass
 class IntegerChainComplex:
     """Graded free abelian groups with boundary maps dropping ``step`` degrees.

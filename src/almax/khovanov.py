@@ -10,9 +10,10 @@ B-labels after the flipped crossing.  Homological degree i drops by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .diagram import ArcEnd, Diagram, State, resolve
+from .diagram import ArcEnd, Diagram, Resolution, State, arc_partners, resolve
 from .homology import (
     AbelianGroup,
     IntegerChainComplex,
@@ -154,21 +155,79 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 # crossing x; negatives is the frozenset of negatively signed circle names.
 
 
+# slot -> the slot an A- or a B-smoothing joins it to (A: {0,1},{2,3}; B: {0,3},{1,2})
+_A_SLOT = (1, 0, 3, 2)
+_B_SLOT = (3, 2, 1, 0)
+
+
 class _Ctx:
-    """Per-diagram cache of resolutions indexed by B-label bitmask."""
+    """Resolutions of one diagram indexed by B-label bitmask, each derived from its parent.
+
+    The all-A mask 0 is resolved by ``resolve``.  Any other mask is its
+    parent, the mask minus its highest bit, with that one crossing flipped
+    from A to B.  Only the circles through the flipped crossing change (two
+    merge, or one splits, or on non-planar data one stays one), so only
+    they are retraced, alternately along smoothings and arcs.  The arc
+    pairing is computed once, here.
+    """
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
         self.c = diagram.crossing_count
-        self._res: dict[int, object] = {}
+        arc = arc_partners(diagram)
+        # per label (A, B): arc end -> (end its smoothing joins it to, next end along the arc)
+        self._via = tuple(
+            {end: ((end[0], slots[end[1]]), arc[(end[0], slots[end[1]])]) for end in arc}
+            for slots in (_A_SLOT, _B_SLOT)
+        )
+        self._res: dict[int, Resolution] = {0: resolve(diagram, State.all_a(self.c))}
 
-    def res(self, mask: int):
+    def res(self, mask: int) -> Resolution:
         r = self._res.get(mask)
         if r is None:
-            bits = [x for x in range(self.c) if mask >> x & 1]
-            r = resolve(self.diagram, State.from_b_indices(self.c, bits))
+            top = mask.bit_length() - 1
+            r = self._flip(self.res(mask ^ (1 << top)), mask, top)
             self._res[mask] = r
         return r
+
+    def _trace(self, mask: int, start: ArcEnd) -> list[ArcEnd]:
+        """Arc ends of the circle through ``start`` in the resolution of ``mask``."""
+        via_a, via_b = self._via
+        ends = []
+        end = start
+        while True:
+            joined, end_after = (via_b if mask >> end[0] & 1 else via_a)[end]
+            ends.append(end)
+            ends.append(joined)
+            end = end_after
+            if end == start:
+                return ends
+
+    def _flip(self, parent: Resolution, mask: int, x: int) -> Resolution:
+        """Resolution of ``mask`` from that of ``parent``, where crossing x was A."""
+        end_circle = dict(parent.end_circle)
+        circles = set(parent.circles)
+        circles.discard(end_circle[(x, 0)])
+        circles.discard(end_circle[(x, 2)])
+        loops = [self._trace(mask, (x, 0))]
+        if (x, 1) not in loops[0]:  # the circle through x split in two
+            loops.append(self._trace(mask, (x, 1)))
+        for ends in loops:
+            name = min(ends)  # circles are named by their least arc end
+            circles.add(name)
+            for end in ends:
+                end_circle[end] = name
+        chords = tuple(
+            (end_circle[(ci, 0)], end_circle[(ci, 2)], "B" if mask >> ci & 1 else "A")
+            for ci in range(self.c)
+        )
+        return Resolution(circles=tuple(sorted(circles)), chords=chords, end_circle=end_circle)
+
+
+@lru_cache(maxsize=1)
+def _context(diagram: Diagram) -> _Ctx:
+    """The ``_Ctx`` of the last diagram asked for, so the cube walks of one command share it."""
+    return _Ctx(diagram)
 
 
 def _gen_sort_key(ctx: _Ctx, gen):
@@ -198,15 +257,32 @@ def _census_all(ctx: _Ctx) -> dict[tuple[int, int], list]:
 
 
 def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
-    """Enhanced states with the given j, grouped by i, via the tau constraint."""
+    """Enhanced states with the given j, grouped by i, via the tau constraint.
+
+    The masks are walked depth-first from all-A, each extended only by bits
+    above its highest one, so every mask is reached once, through its
+    parent.  A mask with deficit ``|all-A circles| + |mask| - #circles``
+    carries no j above ``j_max - 2 * deficit``.  One flip adds at most one
+    circle, so the deficit never drops from a mask to a superset, and a
+    mask whose deficit already rules out j is cut together with everything
+    above it.  The walk thus costs the column times c, not 2^c.
+    """
     per_i: dict[int, list] = {}
     c = ctx.c
-    for mask in range(1 << c):
-        sigma = c - 2 * mask.bit_count()
+    circles_a = ctx.res(0).circle_count
+    slack = c + 2 * circles_a - j  # j_max - j
+    stack = [0]
+    while stack:
+        mask = stack.pop()
+        res = ctx.res(mask)
+        r = mask.bit_count()
+        if 2 * (circles_a + r - res.circle_count) > slack:
+            continue
+        stack.extend(mask | (1 << x) for x in range(mask.bit_length(), c))
+        sigma = c - 2 * r
         if (j - sigma) % 2:
             continue
         tau = (j - sigma) // 2
-        res = ctx.res(mask)
         doubled = res.circle_count - tau
         if doubled % 2 or not 0 <= doubled <= 2 * res.circle_count:
             continue
@@ -231,7 +307,6 @@ def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
                 continue
             incidence = -1 if (mask >> (x + 1)).bit_count() & 1 else 1
             tmask = mask | (1 << x)
-            res_t = ctx.res(tmask)
             cs0 = res_s.end_circle[(x, 0)]
             cs2 = res_s.end_circle[(x, 2)]
             if cs0 != cs2:
@@ -240,10 +315,12 @@ def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
                 if not n0 and not n2:
                     continue
                 common = negs - {cs0, cs2}
-                merged = common | {res_t.end_circle[(x, 0)]} if (n0 and n2) else common
-                images = (merged,)
+                if n0 and n2:
+                    common = common | {ctx.res(tmask).end_circle[(x, 0)]}
+                images = (common,)
             else:
                 # one circle splits; a negative circle splits two ways
+                res_t = ctx.res(tmask)
                 ct0 = res_t.end_circle[(x, 0)]
                 ct2 = res_t.end_circle[(x, 2)]
                 common = negs - {cs0}
@@ -278,11 +355,14 @@ class GradedComplexColumn:
 def build_column(diagram: Diagram, j: int, brute_force: bool = False) -> GradedComplexColumn:
     """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
 
-    ``brute_force`` enumerates every enhanced state of the diagram and
-    filters, instead of solving the tau constraint per state; it exists as
-    the oracle for the constrained enumeration and must agree with it.
+    The states are found by a pruned walk of the cube (``_census_column``),
+    so the cost follows the size of the column, not 2^c; resolutions come
+    from the diagram's shared ``_Ctx``.  ``brute_force`` enumerates every
+    enhanced state of the diagram and filters, instead of walking and
+    solving the tau constraint per state; it exists as the oracle for the
+    constrained enumeration and must agree with it.
     """
-    ctx = _Ctx(diagram)
+    ctx = _context(diagram)
     if brute_force:
         per_i = {ik[0]: gens for ik, gens in _census_all(ctx).items() if ik[1] == j}
     else:
@@ -308,7 +388,7 @@ def almost_extreme_generators(diagram: Diagram) -> dict[int, tuple[EnhancedState
     """
     if not is_a_adequate(diagram):
         raise ValueError("almost-extreme characterization needs an A-adequate diagram")
-    ctx = _Ctx(diagram)
+    ctx = _context(diagram)
     c = ctx.c
     circles_a = ctx.res(0).circle_count
     per_i: dict[int, list] = {}
@@ -331,7 +411,7 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
     so this equals d times the usual bracket and matches the generator
     count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j.
     """
-    ctx = _Ctx(diagram)
+    ctx = _context(diagram)
     c = ctx.c
     powers: dict[int, LaurentPoly] = {0: LaurentPoly({0: 1})}
 
@@ -350,7 +430,7 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
 def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
     """Number of enhanced states per (i, j)."""
     _check_limit(diagram, limit)
-    ctx = _Ctx(diagram)
+    ctx = _context(diagram)
     return {key: len(gens) for key, gens in _census_all(ctx).items() if gens}
 
 
@@ -376,7 +456,7 @@ def full_homology_table(
 ) -> dict[tuple[int, int], AbelianGroup]:
     """Every non-trivial framed homology group of the diagram, keyed by (i, j)."""
     _check_limit(diagram, limit)
-    ctx = _Ctx(diagram)
+    ctx = _context(diagram)
     census = _census_all(ctx)
     js = sorted({j for (_i, j) in census})
     table: dict[tuple[int, int], AbelianGroup] = {}

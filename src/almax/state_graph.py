@@ -59,10 +59,6 @@ def is_b_adequate(diagram: Diagram) -> bool:
     return is_a_adequate(mirror(diagram))
 
 
-def is_semiadequate(diagram: Diagram) -> bool:
-    return is_a_adequate(diagram) or is_b_adequate(diagram)
-
-
 def simple_reduction(graph: StateGraph) -> StateGraph:
     """Replace each multiedge class by a single edge.
 

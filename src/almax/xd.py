@@ -3,9 +3,10 @@
 For a graph with edges v_0 < ... < v_{n} (n = c-1, edge order = crossing
 order) the top cells in dimension n are the vertices; a k-cell for k < n
 is a strictly increasing (k+1)-tuple of edges whose complement is a
-parallel class (all remaining edges join one common vertex pair).  Face
-maps drop one edge when doing so stays inside that rule.  The construction
-works for any loopless graph, not only state graphs of diagrams.
+non-empty part of one parallel class (all remaining edges join one common
+vertex pair).  Face maps drop one edge when doing so stays inside that
+rule.  The construction works for any loopless graph, not only state
+graphs of diagrams.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
     """Build the partial presimplicial set of a loopless connected multigraph.
 
     The zero-edge graph (single vertex, from the unknot) yields the empty
-    set, whose pointed realization plays the role of a (-1)-sphere.
+    set, whose pointed realization plays the role of a (-1)-sphere.  Cells
+    are generated class by class, so the cost follows the cell count
+    ``|V| + sum over parallel classes P of (2^|P| - 1)``, not the 2^c edge
+    subsets; each level is sorted, so ids and order do not depend on it.
     """
     if graph.loop_edges():
         raise GraphError(f"graph has loop edges at indices {graph.loop_edges()}")
@@ -40,18 +44,23 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
         return EMPTY_PPS
     n = c - 1
     pairs = [_pair(e) for e in graph.edges]
+    classes: dict[frozenset, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        classes.setdefault(pair, []).append(i)
 
-    cells: dict[int, tuple[str, ...]] = {}
-    members: dict[int, set[tuple[int, ...]]] = {}
-    cells[n] = tuple(format_vertex(v) for v in graph.vertices)
+    # a k-cell (k < n) is the complement of a non-empty subset of one parallel
+    # class; level k collects the cells with c - k - 1 edges removed, each
+    # with the class it came from, sorted into lexicographic tuple order
+    levels: dict[int, list[tuple[tuple[int, ...], frozenset]]] = {k: [] for k in range(n)}
+    for pair, members in classes.items():
+        for size in range(1, min(len(members), n) + 1):
+            for removed in combinations(members, size):
+                gone = set(removed)
+                levels[n - size].append((tuple(i for i in range(c) if i not in gone), pair))
+    cells: dict[int, tuple[str, ...]] = {n: tuple(format_vertex(v) for v in graph.vertices)}
     for k in range(n):
-        level = []
-        for combo in combinations(range(c), k + 1):
-            rest = {pairs[i] for i in range(c) if i not in combo}
-            if len(rest) <= 1:
-                level.append(combo)
-        members[k] = set(level)
-        cells[k] = tuple(tuple_cell_id(t) for t in level)
+        levels[k].sort(key=lambda cell: cell[0])
+        cells[k] = tuple(tuple_cell_id(combo) for combo, _class in levels[k])
 
     faces: dict[int, dict[str, dict[int, str]]] = {}
     if n >= 1:
@@ -68,9 +77,8 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
             faces[n] = top
     for k in range(1, n):
         per_cell: dict[str, dict[int, str]] = {}
-        for combo in sorted(members[k]):
-            rest_pairs = {pairs[i] for i in range(c) if i not in combo}
-            common = next(iter(rest_pairs))  # single class by membership rule
+        for combo, common in levels[k]:
+            # dropping an edge of the removed subset's class keeps the rule
             fmap = {}
             for i, edge_index in enumerate(combo):
                 if pairs[edge_index] == common:

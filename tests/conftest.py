@@ -11,8 +11,9 @@ from almax import full_homology_table, mirror, parse_pd
 LEFT_TREFOIL = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 RIGHT_TREFOIL = "X(4,2,5,1);X(6,4,1,3);X(2,6,3,5)"
 FIGURE_EIGHT = "X(4,2,5,1);X(8,6,1,5);X(6,3,7,4);X(2,7,3,8)"
-POSITIVE_HOPF = "X(1,3,2,4);X(2,4,1,3)"
-NEGATIVE_HOPF = "X(3,2,4,1);X(4,1,3,2)"
+# planar Hopf codes: four bigon faces (F = c + 2), each the mirror of the other
+POSITIVE_HOPF = "X(4,1,3,2);X(2,3,1,4)"
+NEGATIVE_HOPF = "X(1,3,2,4);X(3,1,4,2)"
 POSITIVE_KINK = "X(1,1,2,2)"  # the (2,1) torus diagram
 B_ADEQUATE_ONLY = "X(1,2,2,1)"  # mirror of the positive kink
 

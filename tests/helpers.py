@@ -12,6 +12,9 @@ import math
 from itertools import combinations, combinations_with_replacement, permutations
 
 from almax.diagram import Diagram, State
+from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet
+from almax.state_graph import StateGraph, format_vertex
+from almax.xd import tuple_cell_id
 
 
 # --- independent circle counting --------------------------------------------
@@ -57,6 +60,37 @@ def trace_circle_count(diagram: Diagram, state: State) -> int:
             cur = arc_partner[smooth_partner(cur)]
     assert cycles % 2 == 0
     return cycles // 2
+
+
+def face_count(diagram: Diagram) -> int:
+    """Faces of the PD rotation system: cycles of dart -> arc partner -> next slot.
+
+    A dart is an arc end (crossing, slot); the slots of a crossing are in
+    counterclockwise order.  With V = c crossings and E = 2c arcs, Euler's
+    formula V - E + F = 2 says the diagram is planar iff F = c + 2.
+    """
+    if diagram.crossing_count == 0:
+        return 2
+    occ = {}
+    for ci, quad in enumerate(diagram.crossings):
+        for slot, arc in enumerate(quad):
+            occ.setdefault(arc, []).append((ci, slot))
+    partner = {}
+    for first, second in occ.values():
+        partner[first] = second
+        partner[second] = first
+    seen = set()
+    faces = 0
+    for start in partner:
+        if start in seen:
+            continue
+        faces += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            ci, slot = partner[cur]
+            cur = (ci, (slot + 1) % 4)
+    return faces
 
 
 # --- fixture generators ------------------------------------------------------
@@ -196,6 +230,58 @@ def _canonical_form(v: int, edges) -> tuple:
         if best is None or relabeled < best:
             best = relabeled
     return best
+
+
+# --- cell-structure oracle ----------------------------------------------------
+
+
+def xd_oracle(graph: StateGraph) -> PartialPresimplicialSet:
+    """The cell structure of a loopless connected graph, by filtering every edge subset.
+
+    Keeps each strictly increasing (k+1)-tuple whose complement joins a
+    single vertex pair, and each face that drops an edge of that pair.
+    Exponential in the edge count; the reference for ``build_xd``.
+    """
+    c = graph.edge_count
+    if c == 0:
+        return EMPTY_PPS
+    n = c - 1
+    pairs = [frozenset(e) for e in graph.edges]
+    cells = {n: tuple(format_vertex(v) for v in graph.vertices)}
+    levels = {}
+    for k in range(n):
+        levels[k] = [
+            combo
+            for combo in combinations(range(c), k + 1)
+            if len({pairs[i] for i in range(c) if i not in combo}) == 1
+        ]
+        cells[k] = tuple(tuple_cell_id(t) for t in levels[k])
+    faces = {}
+    top = {}
+    for vi, vertex in enumerate(graph.vertices):
+        fmap = {
+            i: tuple_cell_id(tuple(e for e in range(c) if e != i))
+            for i in range(c)
+            if vertex in graph.edges[i]
+        }
+        if fmap and n >= 1:
+            top[cells[n][vi]] = fmap
+    if top:
+        faces[n] = top
+    for k in range(1, n):
+        per_cell = {}
+        for combo in levels[k]:
+            (common,) = {pairs[i] for i in range(c) if i not in combo}
+            fmap = {
+                i: tuple_cell_id(combo[:i] + combo[i + 1:])
+                for i, e in enumerate(combo)
+                if pairs[e] == common
+            }
+            if fmap:
+                per_cell[tuple_cell_id(combo)] = fmap
+        if per_cell:
+            faces[k] = per_cell
+    return PartialPresimplicialSet(top_dim=n, cells=cells, faces=faces)
 
 
 # --- SNF oracle ---------------------------------------------------------------

@@ -19,9 +19,9 @@ from almax.diagram import (
     resolve,
     to_pd_text,
 )
-from helpers import trace_circle_count
+from helpers import face_count, trace_circle_count
 
-from conftest import LEFT_TREFOIL
+from conftest import CORPUS, LEFT_TREFOIL
 
 
 def all_states(c):
@@ -148,6 +148,22 @@ class TestResolve:
         for name in res.circles:
             members = [e for e, circ in res.end_circle.items() if circ == name]
             assert min(members) == name
+
+
+class TestPlanarity:
+    def test_every_corpus_entry_is_planar(self):
+        for name, pd in CORPUS.items():
+            d = parse_pd(pd)
+            assert face_count(d) == d.crossing_count + 2, name
+
+    def test_face_count_flags_a_virtual_hopf_code(self):
+        # this two-crossing code closes up on a torus: two faces, not four
+        assert face_count(parse_pd("X(1,3,2,4);X(2,4,1,3)")) == 2
+
+    def test_mirror_and_kinks_stay_planar(self, left_trefoil):
+        kinked = add_positive_kink(add_positive_kink(left_trefoil, 1), 4)
+        for d in (mirror(left_trefoil), kinked, mirror(kinked)):
+            assert face_count(d) == d.crossing_count + 2
 
 
 class TestMirror:

@@ -1,8 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
-from almax.diagram import State, add_positive_kink, parse_pd, reorder_crossings, resolve
+from almax import khovanov
+from almax.diagram import (
+    DiagramError,
+    State,
+    add_positive_kink,
+    mirror,
+    parse_pd,
+    reorder_crossings,
+    resolve,
+)
 from almax.homology import AbelianGroup
 from almax.khovanov import (
     EnhancedState,
@@ -21,13 +31,39 @@ from almax.khovanov import (
     kauffman_bracket,
     shift_table,
 )
-from almax.state_graph import is_a_adequate
+from almax.state_graph import build_state_graph, is_a_adequate, is_b_adequate
+from helpers import braid_pd
+
+from conftest import KNOT_10_44
 
 
 def enhanced(diagram, state, negatives=()):
     res = resolve(diagram, state)
     negs = frozenset(res.circles[i] for i in negatives)
     return EnhancedState(state, negs)
+
+
+def random_braid_closures(count, seed):
+    """Connected closures of random braid words with 3..8 crossings on 2..4 strands."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 8))]
+        try:
+            found.append(braid_pd(word, strands))
+        except DiagramError:  # split closure
+            continue
+    return found
+
+
+def same_column(d, j):
+    fast = build_column(d, j)
+    slow = build_column(d, j, brute_force=True)
+    assert fast.generators == slow.generators
+    assert {i: m.to_rows() for i, m in fast.boundaries.items()} == {
+        i: m.to_rows() for i, m in slow.boundaries.items()
+    }
 
 
 class TestGradings:
@@ -92,11 +128,7 @@ class TestBuildColumn:
             d = corpus[name]
             j_max, j_almax = j_extremes(d)
             for j in (j_max, j_almax, j_almax - 4):
-                fast = build_column(d, j)
-                slow = build_column(d, j, brute_force=True)
-                assert fast.generators == slow.generators
-                for i, mat in fast.boundaries.items():
-                    assert mat.to_rows() == slow.boundaries[i].to_rows()
+                same_column(d, j)
 
     def test_column_complexes_compose_to_zero(self, corpus):
         rng = random.Random(99)
@@ -116,6 +148,87 @@ class TestBuildColumn:
         for i, gens in col.generators.items():
             for es in gens:
                 assert gradings(figure_eight, es) == (i, j_almax)
+
+
+class TestPrunedColumnWalk:
+    def test_every_j_of_random_braid_closures(self):
+        kinds = Counter()
+        for d in random_braid_closures(40, seed=3):
+            a_ok, b_ok = is_a_adequate(d), is_b_adequate(d)
+            kinds["A" if a_ok else "B only" if b_ok else "inadequate"] += 1
+            js = [j for (_i, j) in generator_rank_table(d)]
+            for j in list(range(min(js) - 2, max(js) + 3, 2)) + [max(js) + 1]:
+                same_column(d, j)
+        # the walk never relies on adequacy: every kind of input is covered
+        assert min(kinds[k] for k in ("A", "B only", "inadequate")) >= 3, kinds
+
+    def test_every_j_of_the_unknot(self, unknot):
+        for j in range(-4, 5):
+            same_column(unknot, j)
+
+    def test_column_walk_does_not_visit_the_cube(self, monkeypatch):
+        d = parse_pd(KNOT_10_44)
+        for arc in (3, 12, 17):
+            d = add_positive_kink(d, arc)
+        c = d.crossing_count
+        assert c == 13
+        graph = build_state_graph(d, State.all_a(c))
+        classes = Counter(frozenset(edge) for edge in graph.edges)
+        column_size = len(graph.vertices) + sum(2**size - 1 for size in classes.values())
+
+        calls = Counter()
+        real_res, real_resolve = khovanov._Ctx.res, khovanov.resolve
+
+        def counting_res(ctx, mask):
+            calls["res"] += 1
+            return real_res(ctx, mask)
+
+        def counting_resolve(*args):
+            calls["resolve"] += 1
+            return real_resolve(*args)
+
+        monkeypatch.setattr(khovanov._Ctx, "res", counting_res)
+        monkeypatch.setattr(khovanov, "resolve", counting_resolve)
+        khovanov._context.cache_clear()
+        _, j_almax = j_extremes(d)
+        calls.clear()
+        column = build_column(d, j_almax)
+        assert sum(len(g) for g in column.generators.values()) == column_size == 23
+        assert calls["resolve"] == 1  # only all-A; every other mask is derived
+        assert calls["res"] < 600 < 2**c
+
+
+class TestResolutionStore:
+    @staticmethod
+    def diagrams(corpus):
+        for d in corpus.values():
+            yield d
+            yield mirror(d)
+        kinked = add_positive_kink(add_positive_kink(corpus["figure_eight"], 2), 5)
+        yield kinked
+        yield mirror(kinked)
+        yield add_positive_kink(corpus["torus_2_5"], 1)
+
+    def test_derived_resolutions_match_union_find(self, corpus, unknot):
+        rng = random.Random(5)
+        for d in list(self.diagrams(corpus)) + [unknot]:
+            c = d.crossing_count
+            ctx = khovanov._Ctx(d)
+            masks = list(range(1 << c))
+            rng.shuffle(masks)  # parents are not always resolved first
+            for mask in masks:
+                got = ctx.res(mask)
+                want = resolve(d, State.from_b_indices(c, [x for x in range(c) if mask >> x & 1]))
+                assert got.circles == want.circles
+                assert got.chords == want.chords
+                assert got.end_circle == want.end_circle
+
+    def test_context_is_shared_by_one_diagram(self, corpus):
+        d = corpus["figure_eight"]
+        equal_copy = reorder_crossings(d, range(d.crossing_count))
+        assert khovanov._context(d) is khovanov._context(equal_copy)
+        other = khovanov._context(corpus["left_trefoil"])
+        assert other.diagram == corpus["left_trefoil"]
 
 
 class TestAlmostExtremeGenerators:

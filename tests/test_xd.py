@@ -1,11 +1,15 @@
 import pytest
 
-from almax.diagram import State
+import random
+
+from almax.diagram import State, mirror, parse_pd
 from almax.homology import AbelianGroup, homology, nonzero_groups
-from almax.presimplicial import chain_complex, validate_pps
-from almax.state_graph import GraphError, StateGraph, build_state_graph
+from almax.presimplicial import chain_complex, pps_to_json, validate_pps
+from almax.state_graph import GraphError, StateGraph, build_state_graph, is_a_adequate
 from almax.xd import build_xd, khovanov_degree
-from helpers import connected_multigraphs
+from helpers import connected_multigraphs, xd_oracle
+
+from conftest import CORPUS
 
 TRIANGLE = StateGraph(
     vertices=("T0", "T1", "T2"),
@@ -179,3 +183,46 @@ class TestSuspensionProperty:
             )
             after = reduced_homology(build_xd(augmented))
             assert after == {k + q: g for k, g in before.items()}
+
+
+def random_multigraph(rng):
+    """A loopless connected multigraph: a random tree plus parallel and extra edges, shuffled."""
+    v = rng.randint(1, 5)
+    edges = [(rng.randrange(w), w) for w in range(1, v)]
+    if v > 1:
+        for _ in range(rng.randint(0, 9 - len(edges))):
+            if rng.random() < 0.5:
+                edges.append(rng.choice(edges))  # parallel to an existing edge
+            else:
+                edges.append(tuple(rng.sample(range(v), 2)))
+    rng.shuffle(edges)
+    return graph_from_edges(v, edges)
+
+
+def assert_matches_oracle(graph):
+    built, expected = build_xd(graph), xd_oracle(graph)
+    assert built == expected
+    for k in expected.cells:
+        assert built.cells_in(k) == expected.cells_in(k)  # same order, not only same set
+    assert pps_to_json(built) == pps_to_json(expected)
+
+
+class TestAgainstSubsetFilterOracle:
+    def test_corpus_graphs(self):
+        for name, pd in CORPUS.items():
+            d = parse_pd(pd)
+            target = d if is_a_adequate(d) else mirror(d)
+            assert_matches_oracle(build_state_graph(target, State.all_a(d.crossing_count)))
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2018)
+        for _ in range(60):
+            assert_matches_oracle(random_multigraph(rng))
+
+    def test_dipoles_skip_removing_every_edge(self):
+        for c in range(1, 7):
+            assert_matches_oracle(StateGraph(vertices=("u", "w"), edges=(("u", "w"),) * c))
+
+    def test_exhaustive_up_to_four_edges(self):
+        for v, edges in connected_multigraphs(4):
+            assert_matches_oracle(graph_from_edges(v, edges))
