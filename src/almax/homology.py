@@ -1,15 +1,20 @@
 """Exact integer homology of bounded chain complexes via Smith normal form.
 
 All arithmetic uses Python integers, so it is exact and overflow-free.
-Large sparse boundary matrices are first reduced by pivoting on +-1
-entries (which never changes the invariant factors beyond prepending 1s);
-whatever is left is finished off by the classical least-absolute-value
-pivot algorithm.
+There is one reduction path.  ``homology`` first cancels +-1 pairs across
+the whole complex (Bar-Natan's Gaussian elimination): each cancelled pair
+removes one generator from two neighbouring degrees, Schur-updates the
+boundary that held the pivot and only deletes a row or column from the
+boundaries next to it, so every generator is eliminated at most once.
+``smith_normal_form`` cancels the +-1 entries of one matrix the same way.
+Whatever is left has no unit entries and is finished off by the classical
+least-entry pivot algorithm, run modulo the determinant of a non-singular
+rank x rank minor so that its entries stay bounded.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 
 
@@ -130,12 +135,51 @@ def _as_matrix(matrix) -> IntMatrix:
     return matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
 
 
-def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
-    """Classical SNF on a small dense matrix; pivot = least non-zero |entry|.
+def _rank_and_minor(dense: list[list[int]]) -> tuple[int, int]:
+    """Rank r of an integer matrix and |det| of one of its non-singular r x r minors.
 
-    Ties break row-major.  Returns the non-zero invariant factors.
+    Fraction-free (Bareiss) elimination to row echelon form: every
+    intermediate entry is a minor of the input, so the division is exact
+    and the numbers stay as small as the minors.
     """
     m = [row[:] for row in dense]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        top = m[r]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, abs(prev)
+
+
+def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
+    """Classical SNF on a small dense matrix, modulo D; pivot = least non-zero entry.
+
+    Ties break row-major.  Returns the non-zero invariant factors.  D is
+    the |det| of a non-singular rank x rank minor, so d1 * ... * dr
+    divides D.  Reducing an entry modulo D adds a vector of the lattice
+    D * Z^rows to the column span, whose factors are then gcd(d_i, D) = d_i
+    followed by D; every entry stays below D, so the numbers cannot blow up.
+    """
+    rank, det = _rank_and_minor(dense)
+    if det == 1:
+        return [1] * rank
+    m = [[v % det for v in row] for row in dense]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     factors: list[int] = []
@@ -145,7 +189,7 @@ def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
         best = None
         for r in range(s, nrows):
             for c in range(s, ncols):
-                v = abs(m[r][c])
+                v = m[r][c]
                 if v and (best is None or v < best):
                     best, pivot = v, (r, c)
                     if v == 1:
@@ -166,7 +210,7 @@ def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
                     q = m[r][s] // p
                     if q:
                         for c in range(s, ncols):
-                            m[r][c] -= q * m[s][c]
+                            m[r][c] = (m[r][c] - q * m[s][c]) % det
                     if m[r][s]:  # remainder becomes the new, smaller pivot
                         m[s], m[r] = m[r], m[s]
                         dirty = True
@@ -178,7 +222,7 @@ def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
                     q = m[s][c] // p
                     if q:
                         for r in range(s, nrows):
-                            m[r][c] -= q * m[r][s]
+                            m[r][c] = (m[r][c] - q * m[r][s]) % det
                     if m[s][c]:
                         for r in range(s, nrows):
                             m[r][s], m[r][c] = m[r][c], m[r][s]
@@ -186,7 +230,7 @@ def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
                         break
             if not dirty:
                 break
-        p = abs(m[s][s])
+        p = m[s][s]
         # enforce divisibility: fold any non-divisible entry into the pivot row
         offender = None
         for r in range(s + 1, nrows):
@@ -198,81 +242,75 @@ def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
                 break
         if offender is not None:
             for c in range(s, ncols):
-                m[s][c] += m[offender][c]
+                m[s][c] = (m[s][c] + m[offender][c]) % det
             continue
         factors.append(p)
         s += 1
-    return factors
+    # the factors of the lattice spanned by the columns and D * Z^rows
+    lattice = sorted(math.gcd(f, det) for f in factors) + [det] * (nrows - len(factors))
+    return lattice[:rank]
 
 
-def _sparse_unit_reduction(matrix: IntMatrix) -> tuple[int, list[list[int]]]:
-    """Pivot away +-1 entries, Schur-updating the rest.
+def _cancel_units(rows: dict[int, dict[int, int]]) -> tuple[list[int], list[int]]:
+    """Pivot away every +-1 entry of a dict-of-rows matrix, in place.
 
-    Returns (number of unit pivots, leftover dense matrix).  Each unit
-    pivot contributes an invariant factor 1; the leftover carries all the
-    remaining rank and torsion.  Pivots are chosen by Markowitz fill cost
-    through a lazily revalidated heap, so the scan cost stays near the
-    number of updates actually performed.
+    Columns are scanned in order; in each, the pivot is the +-1 entry whose
+    row is shortest, and the pivot row and column are eliminated by a Schur
+    update of the rest.  Columns where an update writes a new +-1 are
+    scanned again until none is left.  Returns (pivot rows, pivot columns);
+    each pivot is an invariant factor 1, and what stays in ``rows`` is the
+    leftover matrix, free of unit entries.
     """
-    rows = {r: dict(row) for r, row in matrix.data.items()}
     col_rows: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(r)
-
-    def cost(r: int, c: int) -> int:
-        return (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
-
-    heap: list[tuple[int, int, int]] = []
-    for r, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heap.append((cost(r, c), r, c))
-    heapq.heapify(heap)
-
-    units = 0
-    while heap:
-        est, r0, c0 = heapq.heappop(heap)
-        row0 = rows.get(r0)
-        if row0 is None or row0.get(c0) not in (1, -1):
-            continue  # stale candidate
-        current = cost(r0, c0)
-        if current > est:
-            heapq.heappush(heap, (current, r0, c0))
-            continue
-        pivot_row = rows.pop(r0)
-        p = pivot_row.pop(c0)
-        col_rows[c0].discard(r0)
-        for c in pivot_row:
-            col_rows[c].discard(r0)
-        for r in list(col_rows.get(c0, ())):
-            row = rows[r]
-            alpha = row.pop(c0)
-            factor = alpha * p  # p in {1,-1}: alpha/p == alpha*p
-            for c, beta in pivot_row.items():
-                new = row.get(c, 0) - factor * beta
-                if new:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
-                    row[c] = new
-                    if new in (1, -1):
-                        heapq.heappush(heap, (0, r, c))
-                else:
-                    if c in row:
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    pending = sorted(col_rows)
+    while pending:
+        touched: set[int] = set()
+        for c0 in pending:
+            units = [(len(rows[r]), r) for r in col_rows.get(c0, ()) if rows[r][c0] in (1, -1)]
+            if not units:
+                continue
+            _, r0 = min(units)
+            pivot_row = rows.pop(r0)
+            p = pivot_row.pop(c0)
+            for c in pivot_row:
+                col_rows[c].discard(r0)
+            others = col_rows.pop(c0)
+            others.discard(r0)
+            for r in others:
+                row = rows[r]
+                factor = row.pop(c0) * p  # p in {1,-1}: alpha/p == alpha*p
+                for c, beta in pivot_row.items():
+                    new = row.get(c, 0) - factor * beta
+                    if new:
+                        if c not in row:
+                            col_rows[c].add(r)
+                        row[c] = new
+                        if new in (1, -1):
+                            touched.add(c)
+                    else:
                         del row[c]
                         col_rows[c].discard(r)
-            if not row:
-                del rows[r]
-        col_rows.pop(c0, None)
-        units += 1
-    live_rows = sorted(rows)
+                if not row:
+                    del rows[r]
+            pivot_rows.append(r0)
+            pivot_cols.append(c0)
+        pending = sorted(c for c in touched if col_rows.get(c))
+    return pivot_rows, pivot_cols
+
+
+def _compact(rows: dict[int, dict[int, int]]) -> IntMatrix:
+    """The non-zero rows and columns of a dict-of-rows matrix, renumbered from 0."""
     live_cols = sorted({c for row in rows.values() for c in row})
     col_index = {c: i for i, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[i][col_index[c]] = v
-    return units, dense
+    m = IntMatrix(len(rows), len(live_cols))
+    for i, r in enumerate(sorted(rows)):
+        m.data[i] = {col_index[c]: v for c, v in rows[r].items()}
+    return m
 
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
@@ -280,16 +318,15 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
 
     Accepts an ``IntMatrix`` or any list-of-rows.  The result is the chain
     of invariant factors d1 | d2 | ...; its length is the rank.  An empty
-    or zero matrix yields an empty diagonal.
+    or zero matrix yields an empty diagonal.  Every matrix takes the same
+    path: +-1 pivots are cancelled first (each an invariant factor 1), and
+    the classical dense algorithm finishes the leftover.
     """
     m = _as_matrix(matrix)
-    if m.is_zero():
-        return ()
-    if m.rows * m.cols <= 4096:
-        return tuple(_dense_invariant_factors(m.to_rows()))
-    units, leftover = _sparse_unit_reduction(m)
-    tail = _dense_invariant_factors(leftover) if leftover else []
-    return (1,) * units + tuple(tail)
+    rows = {r: dict(row) for r, row in m.data.items()}
+    pivots, _ = _cancel_units(rows)
+    tail = _dense_invariant_factors(_compact(rows).to_rows()) if rows else []
+    return (1,) * len(pivots) + tuple(tail)
 
 
 @dataclass
@@ -326,20 +363,45 @@ class IntegerChainComplex:
 
 
 def homology(complex_: IntegerChainComplex) -> dict[int, AbelianGroup]:
-    """Homology group per degree: ker(out) / im(in), as canonical abelian groups."""
-    complex_.check_composition()
-    snf: dict[int, tuple[int, ...]] = {}
+    """Homology group per degree: ker(out) / im(in), as canonical abelian groups.
 
-    def factors(k: int) -> tuple[int, ...]:
-        if k not in snf:
-            snf[k] = smith_normal_form(complex_.boundary(k)) if k in complex_.boundaries else ()
-        return snf[k]
+    After the exact d∘d check, unit pairs are cancelled across the whole
+    complex (Gaussian elimination): the degrees are walked from the top
+    down, each boundary restricted to the generators that survived the
+    map above it.  A +-1 entry of ``d_k`` at (r, c) makes the complex
+    homotopy equivalent to one without generator c of degree k and
+    generator r of degree k - step, where ``d_k`` is Schur-updated and its
+    neighbours only lose that row and column.  Each generator is thus
+    eliminated at most once.  The leftover complex has no unit entries and
+    is finished by ``smith_normal_form`` on its small matrices.
+    """
+    complex_.check_composition()
+    step = complex_.step
+    alive = {k: set(range(n)) for k, n in complex_.ranks.items()}
+    leftover: dict[int, dict[int, dict[int, int]]] = {}
+    for k in sorted(complex_.boundaries, reverse=True):
+        cols = alive.get(k, set())
+        rows = {}
+        for r, row in complex_.boundaries[k].data.items():
+            kept = {c: v for c, v in row.items() if c in cols}
+            if kept:
+                rows[r] = kept
+        pivot_rows, pivot_cols = _cancel_units(rows)
+        cols.difference_update(pivot_cols)
+        alive.get(k - step, set()).difference_update(pivot_rows)
+        leftover[k] = rows
+
+    factors: dict[int, tuple[int, ...]] = {}
+    for k, rows in leftover.items():
+        below = alive.get(k - step, set())
+        kept = {r: row for r, row in rows.items() if r in below}
+        if kept:
+            factors[k] = smith_normal_form(_compact(kept))
 
     groups: dict[int, AbelianGroup] = {}
-    for k, n in complex_.ranks.items():
-        out_rank = len(factors(k))
-        incoming = factors(k + complex_.step)
-        free = n - out_rank - len(incoming)
+    for k in complex_.ranks:
+        incoming = factors.get(k + step, ())
+        free = len(alive[k]) - len(factors.get(k, ())) - len(incoming)
         if free < 0:
             raise ValueError(f"negative free rank at degree {k}: not a chain complex")
         torsion = tuple(t for t in incoming if t > 1)

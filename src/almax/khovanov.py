@@ -9,6 +9,7 @@ B-labels after the flipped crossing.  Homological degree i drops by 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -428,10 +429,23 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
 
 
 def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
-    """Number of enhanced states per (i, j)."""
+    """Number of enhanced states per (i, j), counted per state without building them.
+
+    A state with ``circles`` circles and B-count r has comb(circles, n)
+    enhancements with n negative circles, all at i = c - 2r and
+    j = i + 2 * (circles - 2n).
+    """
     _check_limit(diagram, limit)
     ctx = _context(diagram)
-    return {key: len(gens) for key, gens in _census_all(ctx).items() if gens}
+    c = ctx.c
+    table: dict[tuple[int, int], int] = {}
+    for mask in range(1 << c):
+        sigma = c - 2 * mask.bit_count()
+        circles = ctx.res(mask).circle_count
+        for negatives in range(circles + 1):
+            key = (sigma, sigma + 2 * (circles - 2 * negatives))
+            table[key] = table.get(key, 0) + math.comb(circles, negatives)
+    return table
 
 
 def euler_polynomial(table: dict) -> LaurentPoly:

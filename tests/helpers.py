@@ -12,6 +12,7 @@ import math
 from itertools import combinations, combinations_with_replacement, permutations
 
 from almax.diagram import Diagram, State
+from almax.homology import AbelianGroup
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet
 from almax.state_graph import StateGraph, format_vertex
 from almax.xd import tuple_cell_id
@@ -323,4 +324,51 @@ def snf_minor_gcd(dense) -> tuple[int, ...]:
     for g in gcds:
         factors.append(g // prev)
         prev = g
+    return tuple(factors)
+
+
+def homology_minor_gcd(complex_) -> dict:
+    """Homology per degree from ``snf_minor_gcd`` of each boundary on its own.
+
+    The per-degree formula with no cancellation across the complex: free
+    rank = rank - rank(out) - rank(in), torsion = the incoming factors > 1.
+    Exponential like its oracle; use on complexes of a few generators.
+    """
+    step = complex_.step
+
+    def factors(k):
+        if k not in complex_.boundaries:
+            return ()
+        return snf_minor_gcd(complex_.boundaries[k].to_rows())
+
+    groups = {}
+    for k, n in complex_.ranks.items():
+        incoming = factors(k + step)
+        free = n - len(factors(k)) - len(incoming)
+        groups[k] = AbelianGroup(free, tuple(t for t in incoming if t > 1))
+    return groups
+
+
+def invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors t1 | t2 | ... of the direct sum of Z/t over ``orders``.
+
+    Each order is split into prime powers; the i-th largest power of every
+    prime goes into the i-th factor from the end.
+    """
+    exponents: dict[int, list[int]] = {}
+    for t in orders:
+        p = 2
+        while t > 1:
+            e = 0
+            while t % p == 0:
+                t //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    length = max((len(es) for es in exponents.values()), default=0)
+    factors = [1] * length
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[length - 1 - i] *= p**e
     return tuple(factors)

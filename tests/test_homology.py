@@ -6,11 +6,13 @@ from almax.homology import (
     AbelianGroup,
     IntegerChainComplex,
     IntMatrix,
+    _cancel_units,
+    _dense_invariant_factors,
     homology,
     nonzero_groups,
     smith_normal_form,
 )
-from helpers import snf_minor_gcd
+from helpers import homology_minor_gcd, invariant_factors, snf_minor_gcd
 
 # boundary of the projective-plane cell structure: T0 -> r0+r2, T1 -> -r1+r2, T2 -> r0-r1
 RP2_BOUNDARY = [
@@ -68,16 +70,46 @@ class TestSmithNormalForm:
             assert smith_normal_form(dense) == snf_minor_gcd(dense), dense
 
     def test_sparse_path_agrees_with_dense(self):
-        # large enough to take the unit-pivot reduction path
+        # unit cancellation followed by the dense tail, against the dense algorithm alone
         rng = random.Random(7)
         size = 80
         entries = {}
         for _ in range(400):
             entries[(rng.randrange(size), rng.randrange(size))] = rng.choice([-1, 1, 1, 2])
         big = IntMatrix(size, size, entries)
-        from almax.homology import _dense_invariant_factors
-
         assert smith_normal_form(big) == tuple(_dense_invariant_factors(big.to_rows()))
+
+    def test_large_matrix_with_non_unit_entries_agrees_with_dense(self):
+        # 70 x 75 = 5250 cells; many entries are not units, so a dense tail is left
+        rng = random.Random(29)
+        rows, cols = 70, 75
+        entries = {}
+        for _ in range(330):
+            entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice([-1, 1, -2, 2, 3])
+        big = IntMatrix(rows, cols, entries)
+        assert rows * cols > 4096
+        assert smith_normal_form(big) == tuple(_dense_invariant_factors(big.to_rows()))
+
+    def test_unit_created_in_a_scanned_column_is_cancelled(self):
+        # column 0 has no unit when scanned; pivoting on (0, 1) turns 3 into 3 - 2 = 1 there
+        rows = {0: {0: 2, 1: 1}, 1: {0: 3, 1: 1}}
+        assert _cancel_units(rows) == ([0, 1], [1, 0])
+        assert rows == {}
+
+    def test_unit_cancellation_leaves_no_unit_entry(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            rows, cols = rng.randint(5, 40), rng.randint(5, 40)
+            entries = {}
+            for _ in range(rng.randint(10, 3 * (rows + cols))):
+                entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice([-1, 1, 2, -3])
+            m = IntMatrix(rows, cols, entries)
+            left = {r: dict(row) for r, row in m.data.items()}
+            pivot_rows, pivot_cols = _cancel_units(left)
+            assert all(v not in (1, -1) for row in left.values() for v in row.values())
+            assert not set(pivot_rows) & set(left)
+            assert not {c for row in left.values() for c in row} & set(pivot_cols)
+            assert smith_normal_form(m) == tuple(_dense_invariant_factors(m.to_rows()))
 
 
 class TestIntMatrix:
@@ -158,3 +190,94 @@ class TestHomology:
     def test_nonzero_groups_filter(self):
         groups = {0: AbelianGroup(), 1: AbelianGroup(2)}
         assert nonzero_groups(groups) == {1: AbelianGroup(2)}
+
+
+TORSION_ORDERS = (1, 2, 3, 4, 6)
+
+
+def matmul(a, b, cols):
+    """Dense product of a (n x m) and b (m x cols), for any of n, m, cols zero."""
+    return [[sum(x * b[m][j] for m, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
+def random_unimodular(rng, n):
+    """(U, U^-1) with U a product of random elementary row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(3 * n):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:  # negate row i: its own inverse, so negate column i of U^-1
+            u[i] = [-x for x in u[i]]
+            for row in u_inv:
+                row[i] = -row[i]
+        else:  # row i += a * row j; the inverse takes column j -= a * column i
+            a = rng.choice((1, -1, 2, -2))
+            u[i] = [x + a * y for x, y in zip(u[i], u[j])]
+            for row in u_inv:
+                row[j] -= a * row[i]
+    return u, u_inv
+
+
+def split_complex(rng, step):
+    """A seeded direct sum of pieces Z and Z --t--> Z, in random unimodular bases.
+
+    Returns the complex and its homology, known by construction: a piece Z
+    is a free summand, and a piece Z --t--> Z with t > 1 is a Z/t in its
+    lower degree.  Each degree holds at most four generators, so the
+    minor-gcd oracle stays cheap.
+    """
+    degrees = [step * i for i in range(rng.randint(2, 5))]
+    ranks = dict.fromkeys(degrees, 0)
+    free = dict.fromkeys(degrees, 0)
+    orders = {k: [] for k in degrees}
+    arrows = []  # (degree, source generator, target generator, t)
+    for _ in range(rng.randint(1, 10)):
+        k = rng.choice(degrees)
+        if rng.random() < 0.3:
+            if ranks[k] < 4:
+                ranks[k] += 1
+                free[k] += 1
+        elif k - step in ranks and ranks[k] < 4 and ranks[k - step] < 4:
+            t = rng.choice(TORSION_ORDERS)
+            arrows.append((k, ranks[k], ranks[k - step], t))
+            ranks[k] += 1
+            ranks[k - step] += 1
+            if t > 1:
+                orders[k - step].append(t)
+    dense = {k: [[0] * ranks[k] for _ in range(ranks[k - step])] for k in degrees[1:]}
+    for k, col, row, t in arrows:
+        dense[k][row][col] = t
+    bases = {k: random_unimodular(rng, n) for k, n in ranks.items()}
+    for k, (u, u_inv) in bases.items():
+        n = ranks[k]
+        assert matmul(u, u_inv, n) == [[int(i == j) for j in range(n)] for i in range(n)]
+    boundaries = {}
+    for k, block in dense.items():
+        conj = matmul(matmul(bases[k - step][0], block, ranks[k]), bases[k][1], ranks[k])
+        entries = {(r, c): v for r, row in enumerate(conj) for c, v in enumerate(row) if v}
+        boundaries[k] = IntMatrix(ranks[k - step], ranks[k], entries)
+    expected = {k: AbelianGroup(free[k], invariant_factors(orders[k])) for k in degrees}
+    return IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=step), expected
+
+
+class TestCancellationKnownAnswers:
+    def test_invariant_factors_helper(self):
+        assert invariant_factors([]) == ()
+        assert invariant_factors([2, 3]) == (6,)
+        assert invariant_factors([4, 6]) == (2, 12)
+        assert invariant_factors([2, 2, 4, 3]) == (2, 2, 12)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_split_complexes_in_mixed_bases(self, step):
+        rng = random.Random(4100 + step)
+        mixed = 0
+        for trial in range(80):
+            cx, expected = split_complex(rng, step)
+            assert homology_minor_gcd(cx) == expected, trial
+            assert homology(cx) == expected, trial
+            mixed += any(
+                len(row) > 1 for m in cx.boundaries.values() for row in m.data.values()
+            )
+        # the bases mix pieces, so cancelling takes Schur updates, not just deletions
+        assert mixed >= 40

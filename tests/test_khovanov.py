@@ -336,6 +336,11 @@ class TestTables:
             assert euler_polynomial(generator_rank_table(d)) == bracket
             assert euler_polynomial(full_tables[name]) == bracket
 
+    def test_rank_table_counts_the_census(self, corpus, unknot):
+        for d in list(TestResolutionStore.diagrams(corpus)) + [unknot]:
+            census = khovanov._census_all(khovanov._Ctx(d))
+            assert generator_rank_table(d) == {key: len(gens) for key, gens in census.items()}
+
     def test_size_guard(self, corpus):
         d = corpus["10_44"]
         with pytest.raises(TableSizeError):
