@@ -22,15 +22,11 @@ from .diagram import (
 from .homology import AbelianGroup, IntegerChainComplex, IntMatrix, homology, smith_normal_form
 from .homotopy import HomotopyType, homotopy_type, predicted_homology, suspend
 from .khovanov import (
-    EnhancedState,
-    GradedComplexColumn,
     LaurentPoly,
-    almost_extreme_generators,
     build_column,
     column_homology,
     framed_to_oriented,
     full_homology_table,
-    gradings,
     j_extremes,
     kauffman_bracket,
 )
@@ -55,8 +51,6 @@ __all__ = [
     "Diagram",
     "DiagramError",
     "DisconnectedDiagramError",
-    "EnhancedState",
-    "GradedComplexColumn",
     "HomotopyType",
     "InadequateDiagramError",
     "IntMatrix",
@@ -68,7 +62,6 @@ __all__ = [
     "State",
     "StateGraph",
     "add_positive_kink",
-    "almost_extreme_generators",
     "analyze_diagram",
     "build_column",
     "build_state_graph",
@@ -78,7 +71,6 @@ __all__ = [
     "cyclomatic_number",
     "framed_to_oriented",
     "full_homology_table",
-    "gradings",
     "homology",
     "homotopy_type",
     "is_a_adequate",

@@ -27,8 +27,6 @@ from .khovanov import (
     euler_polynomial,
     framed_to_oriented,
     full_homology_table,
-    generator_rank_table,
-    kauffman_bracket,
 )
 from .presimplicial import PPSError, chain_complex, pps_from_json, pps_to_json, validate_pps
 from .report import analyze_diagram, format_homology_table, render_table_json
@@ -144,10 +142,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_table(args) -> int:
     diagram = _load_diagram(args.input)
     limit = args.max_c if args.max_c is not None else _default_max_c()
-    table = full_homology_table(diagram, limit=limit)
-    ranks = generator_rank_table(diagram, limit=limit)
-    bracket = kauffman_bracket(diagram)
-    identity_ok = euler_polynomial(ranks) == bracket == euler_polynomial(table)
+    table, bracket = full_homology_table(diagram, limit=limit)
+    identity_ok = euler_polynomial(table) == bracket
     oriented = None
     if args.writhe is not None:
         oriented = {

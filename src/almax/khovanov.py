@@ -1,17 +1,25 @@
 """Framed Khovanov complex of an unoriented diagram, one quantum column at a time.
 
 Generators are enhanced states: a Kauffman state plus a sign on each circle
-of its resolution.  The differential flips a single crossing from A to B,
-keeps signs on untouched circles, and follows the merge/split sign rules
-that preserve j; its incidence sign is (-1)^k with k the number of
-B-labels after the flipped crossing.  Homological degree i drops by 2.
+of its resolution, kept as the plain pair (mask, negatives).  Bit x of mask
+set means a B-label at crossing x; negatives is the frozenset of the names
+of the negatively signed circles.  Generators stay in the order the cube
+walk meets them, since homology does not depend on the order of a basis.
+The differential flips a single crossing from A to B, keeps signs on
+untouched circles, and follows the merge/split sign rules that preserve j;
+its incidence sign is (-1)^k with k the number of B-labels after the
+flipped crossing.  Homological degree i drops by 2.
+
+``build_column``, ``full_homology_table``, ``kauffman_bracket`` and
+``generator_rank_table`` each build a ``_Ctx`` of their own and walk the
+cube at most once; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .diagram import ArcEnd, Diagram, Resolution, State, arc_partners, resolve
@@ -22,7 +30,6 @@ from .homology import (
     homology,
     nonzero_groups,
 )
-from .state_graph import is_a_adequate
 
 #: Full-table mode refuses larger diagrams unless told otherwise.
 DEFAULT_TABLE_LIMIT = 14
@@ -110,29 +117,6 @@ class LaurentPoly:
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
 
 
-@dataclass(frozen=True)
-class EnhancedState:
-    """A Kauffman state plus the set of its negatively signed circles."""
-
-    state: State
-    negative_circles: frozenset
-
-    def sign_map(self, diagram: Diagram) -> dict[ArcEnd, int]:
-        res = resolve(diagram, self.state)
-        return {name: -1 if name in self.negative_circles else 1 for name in res.circles}
-
-
-def gradings(diagram: Diagram, enhanced: EnhancedState) -> tuple[int, int]:
-    """(i, j) of an enhanced state: i = #A - #B, j = i + 2 * (sum of signs)."""
-    res = resolve(diagram, enhanced.state)
-    stray = enhanced.negative_circles - set(res.circles)
-    if stray:
-        raise ValueError(f"signs refer to unknown circles: {sorted(stray)}")
-    i = enhanced.state.sigma()
-    tau = res.circle_count - 2 * len(enhanced.negative_circles)
-    return i, i + 2 * tau
-
-
 def j_extremes(diagram: Diagram) -> tuple[int, int]:
     """(j_max, j_almax): c + 2|all-A circles| and four less."""
     res = resolve(diagram, State.all_a(diagram.crossing_count))
@@ -151,9 +135,6 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 
 
 # -- internal enhanced-state machinery ---------------------------------------
-#
-# A generator is (mask, negatives): bit x of mask set means a B-label at
-# crossing x; negatives is the frozenset of negatively signed circle names.
 
 
 # slot -> the slot an A- or a B-smoothing joins it to (A: {0,1},{2,3}; B: {0,3},{1,2})
@@ -225,38 +206,6 @@ class _Ctx:
         return Resolution(circles=tuple(sorted(circles)), chords=chords, end_circle=end_circle)
 
 
-@lru_cache(maxsize=1)
-def _context(diagram: Diagram) -> _Ctx:
-    """The ``_Ctx`` of the last diagram asked for, so the cube walks of one command share it."""
-    return _Ctx(diagram)
-
-
-def _gen_sort_key(ctx: _Ctx, gen):
-    mask, negs = gen
-    res = ctx.res(mask)
-    bits = tuple(x for x in range(ctx.c) if mask >> x & 1)
-    signs = tuple(-1 if name in negs else 1 for name in res.circles)
-    return (bits, signs)
-
-
-def _census_all(ctx: _Ctx) -> dict[tuple[int, int], list]:
-    """Every enhanced state, grouped by (i, j), canonically ordered."""
-    table: dict[tuple[int, int], list] = {}
-    c = ctx.c
-    for mask in range(1 << c):
-        res = ctx.res(mask)
-        sigma = c - 2 * mask.bit_count()
-        count = res.circle_count
-        for neg_count in range(count + 1):
-            j = sigma + 2 * (count - 2 * neg_count)
-            bucket = table.setdefault((sigma, j), [])
-            for combo in combinations(res.circles, neg_count):
-                bucket.append((mask, frozenset(combo)))
-    for key in table:
-        table[key].sort(key=lambda g: _gen_sort_key(ctx, g))
-    return table
-
-
 def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
     """Enhanced states with the given j, grouped by i, via the tau constraint.
 
@@ -291,8 +240,6 @@ def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
         bucket = per_i.setdefault(sigma, [])
         for combo in combinations(res.circles, neg_count):
             bucket.append((mask, frozenset(combo)))
-    for i in per_i:
-        per_i[i].sort(key=lambda g: _gen_sort_key(ctx, g))
     return per_i
 
 
@@ -334,18 +281,12 @@ def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
     return mat
 
 
-def _materialize(ctx: _Ctx, gen) -> EnhancedState:
-    mask, negs = gen
-    bits = [x for x in range(ctx.c) if mask >> x & 1]
-    return EnhancedState(State.from_b_indices(ctx.c, bits), negs)
-
-
 @dataclass
 class GradedComplexColumn:
     """One quantum grading j of the complex: generators and differentials by i."""
 
     j: int
-    generators: dict[int, tuple[EnhancedState, ...]]
+    generators: dict[int, list[tuple[int, frozenset]]]
     boundaries: dict[int, IntMatrix]
 
     def complex(self) -> IntegerChainComplex:
@@ -353,25 +294,20 @@ class GradedComplexColumn:
         return IntegerChainComplex(ranks=ranks, boundaries=dict(self.boundaries), step=2)
 
 
-def build_column(diagram: Diagram, j: int, brute_force: bool = False) -> GradedComplexColumn:
+def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
     """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
 
-    The states are found by a pruned walk of the cube (``_census_column``),
-    so the cost follows the size of the column, not 2^c; resolutions come
-    from the diagram's shared ``_Ctx``.  ``brute_force`` enumerates every
-    enhanced state of the diagram and filters, instead of walking and
-    solving the tau constraint per state; it exists as the oracle for the
-    constrained enumeration and must agree with it.
+    The generators are found by a pruned walk of the cube
+    (``_census_column``), so the cost follows the size of the column, not
+    2^c.  They stay (mask, negatives) pairs in the order the walk meets
+    them; the resolutions come from a ``_Ctx`` of this call's own.
     """
-    ctx = _context(diagram)
-    if brute_force:
-        per_i = {ik[0]: gens for ik, gens in _census_all(ctx).items() if ik[1] == j}
-    else:
-        per_i = _census_column(ctx, j)
+    ctx = _Ctx(diagram)
+    per_i = _census_column(ctx, j)
     generators = {}
     boundaries = {}
     for i in sorted(per_i, reverse=True):
-        generators[i] = tuple(_materialize(ctx, g) for g in per_i[i])
+        generators[i] = per_i[i]
         if per_i.get(i - 2):
             boundaries[i] = _boundary(ctx, per_i[i], per_i[i - 2])
         elif per_i[i]:
@@ -379,30 +315,20 @@ def build_column(diagram: Diagram, j: int, brute_force: bool = False) -> GradedC
     return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
 
 
-def almost_extreme_generators(diagram: Diagram) -> dict[int, tuple[EnhancedState, ...]]:
-    """Generators of the almost-extreme column, by the closed characterization.
-
-    For an A-adequate diagram these are the all-A states with exactly one
-    negative circle, plus, for each non-empty B-set of size r, the
-    all-positive states whose resolution has |all-A circles| + r - 2
-    circles.  Must coincide with the brute-force census of the column.
-    """
-    if not is_a_adequate(diagram):
-        raise ValueError("almost-extreme characterization needs an A-adequate diagram")
-    ctx = _context(diagram)
+def _histogram(ctx: _Ctx) -> Counter:
+    """Number of masks per (sigma, circles): all that ranks and the bracket need."""
     c = ctx.c
-    circles_a = ctx.res(0).circle_count
-    per_i: dict[int, list] = {}
-    per_i[c] = [(0, frozenset({name})) for name in ctx.res(0).circles]
-    for mask in range(1, 1 << c):
-        r = mask.bit_count()
-        if ctx.res(mask).circle_count == circles_a + r - 2:
-            per_i.setdefault(c - 2 * r, []).append((mask, frozenset()))
-    out = {}
-    for i in sorted(per_i, reverse=True):
-        gens = sorted(per_i[i], key=lambda g: _gen_sort_key(ctx, g))
-        out[i] = tuple(_materialize(ctx, g) for g in gens)
-    return out
+    return Counter(
+        (c - 2 * mask.bit_count(), ctx.res(mask).circle_count) for mask in range(1 << c)
+    )
+
+
+def _bracket(histogram: Counter) -> LaurentPoly:
+    """Sum of masks * A^sigma * d^circles over a ``_histogram``."""
+    total = LaurentPoly.zero()
+    for (sigma, circles), masks in histogram.items():
+        total = total + LaurentPoly.monomial(masks, sigma) * LOOP_VALUE**circles
+    return total
 
 
 def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
@@ -412,20 +338,7 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
     so this equals d times the usual bracket and matches the generator
     count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j.
     """
-    ctx = _context(diagram)
-    c = ctx.c
-    powers: dict[int, LaurentPoly] = {0: LaurentPoly({0: 1})}
-
-    def loop_power(n: int) -> LaurentPoly:
-        if n not in powers:
-            powers[n] = loop_power(n - 1) * LOOP_VALUE
-        return powers[n]
-
-    total = LaurentPoly.zero()
-    for mask in range(1 << c):
-        sigma = c - 2 * mask.bit_count()
-        total = total + LaurentPoly.monomial(1, sigma) * loop_power(ctx.res(mask).circle_count)
-    return total
+    return _bracket(_histogram(_Ctx(diagram)))
 
 
 def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
@@ -436,15 +349,11 @@ def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIM
     j = i + 2 * (circles - 2n).
     """
     _check_limit(diagram, limit)
-    ctx = _context(diagram)
-    c = ctx.c
     table: dict[tuple[int, int], int] = {}
-    for mask in range(1 << c):
-        sigma = c - 2 * mask.bit_count()
-        circles = ctx.res(mask).circle_count
+    for (sigma, circles), masks in _histogram(_Ctx(diagram)).items():
         for negatives in range(circles + 1):
             key = (sigma, sigma + 2 * (circles - 2 * negatives))
-            table[key] = table.get(key, 0) + math.comb(circles, negatives)
+            table[key] = table.get(key, 0) + masks * math.comb(circles, negatives)
     return table
 
 
@@ -467,15 +376,31 @@ def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGr
 
 def full_homology_table(
     diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT
-) -> dict[tuple[int, int], AbelianGroup]:
-    """Every non-trivial framed homology group of the diagram, keyed by (i, j)."""
+) -> tuple[dict[tuple[int, int], AbelianGroup], LaurentPoly]:
+    """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
+
+    One walk of the cube resolves each mask once and files every enhanced
+    state under its (j, i) in enumeration order; the same walk counts the
+    masks per (sigma, circles), from which the Kauffman bracket follows.
+    """
     _check_limit(diagram, limit)
-    ctx = _context(diagram)
-    census = _census_all(ctx)
-    js = sorted({j for (_i, j) in census})
+    ctx = _Ctx(diagram)
+    c = ctx.c
+    columns: dict[int, dict[int, list]] = {}
+    histogram: Counter = Counter()
+    for mask in range(1 << c):
+        res = ctx.res(mask)
+        sigma = c - 2 * mask.bit_count()
+        count = res.circle_count
+        histogram[sigma, count] += 1
+        for negatives in range(count + 1):
+            j = sigma + 2 * (count - 2 * negatives)
+            bucket = columns.setdefault(j, {}).setdefault(sigma, [])
+            for combo in combinations(res.circles, negatives):
+                bucket.append((mask, frozenset(combo)))
     table: dict[tuple[int, int], AbelianGroup] = {}
-    for j in js:
-        per_i = {i: gens for (i, jj), gens in census.items() if jj == j}
+    for j in sorted(columns):
+        per_i = columns[j]
         ranks = {i: len(g) for i, g in per_i.items()}
         boundaries = {
             i: _boundary(ctx, per_i[i], per_i[i - 2]) for i in per_i if per_i.get(i - 2)
@@ -483,7 +408,7 @@ def full_homology_table(
         groups = homology(IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=2))
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
-    return table
+    return table, _bracket(histogram)
 
 
 def shift_table(table: dict, di: int, dj: int) -> dict:

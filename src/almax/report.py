@@ -14,14 +14,13 @@ from .diagram import Diagram, InadequateDiagramError, State, mirror, resolve
 from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
 from .homotopy import HomotopyType, homotopy_type, predicted_homology
-from .khovanov import column_homology, j_extremes
+from .khovanov import column_homology
 from .presimplicial import PartialPresimplicialSet, chain_complex
 from .state_graph import (
     StateGraph,
     build_state_graph,
     cyclomatic_number,
     graph_to_json_dict,
-    is_a_adequate,
     is_b_adequate,
     is_bipartite,
     simple_reduction,
@@ -120,7 +119,9 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     set, in which case the mirror image is analyzed and the report carries
     the mirrored flag; framed gradings refer to the mirror.
     """
-    a_ok = is_a_adequate(diagram)
+    c = diagram.crossing_count
+    graph = build_state_graph(diagram, State.all_a(c))
+    a_ok = not graph.loop_edges()
     b_ok = is_b_adequate(diagram)
     mirrored = False
     if a_ok:
@@ -128,10 +129,10 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     elif b_ok and auto_mirror:
         target = mirror(diagram)
         mirrored = True
+        graph = build_state_graph(target, State.all_a(c))
     else:
-        g = build_state_graph(diagram, State.all_a(diagram.crossing_count))
-        loops = g.loop_edges()
-        detail = f"chords at crossings {list(loops)} are loops in the all-A state graph"
+        loops = list(graph.loop_edges())
+        detail = f"chords at crossings {loops} are loops in the all-A state graph"
         if b_ok:
             raise InadequateDiagramError(
                 f"diagram is not A-adequate ({detail}); it is B-adequate, "
@@ -139,16 +140,15 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
             )
         raise InadequateDiagramError(f"diagram is not semiadequate ({detail})")
 
-    c = target.crossing_count
-    res_a = resolve(target, State.all_a(c))
+    circles_all_a = len(graph.vertices)
     res_b = resolve(target, State.all_b(c))
-    graph = build_state_graph(target, State.all_a(c))
     p1 = cyclomatic_number(simple_reduction(graph))
     bipartite = is_bipartite(graph)
-    j_max, j_almax = j_extremes(target)
+    j_max = c + 2 * circles_all_a
+    j_almax = j_max - 4
     htype = homotopy_type(graph)
 
-    formula = predicted_homology(htype, c, res_a.circle_count)
+    formula = predicted_homology(htype, c, circles_all_a)
 
     xd = build_xd(graph)
     cellular = {}
@@ -164,7 +164,7 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         a_adequate=a_ok,
         b_adequate=b_ok,
         crossing_count=c,
-        circles_all_a=res_a.circle_count,
+        circles_all_a=circles_all_a,
         circles_all_b=res_b.circle_count,
         graph=graph,
         vertex_count=len(graph.vertices),

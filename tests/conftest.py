@@ -62,7 +62,7 @@ def corpus():
 @pytest.fixture(scope="session")
 def full_tables(corpus):
     """Full framed homology tables of the corpus, computed once per session."""
-    return {name: full_homology_table(d) for name, d in corpus.items()}
+    return {name: full_homology_table(d)[0] for name, d in corpus.items()}
 
 
 @pytest.fixture

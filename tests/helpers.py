@@ -3,7 +3,9 @@
 The circle-count oracle traces circles through the smoothings as cycles of
 a permutation, with no union-find involved; the SNF oracle recovers
 invariant factors from gcds of k x k minors.  Both are deliberately
-different algorithms from the ones inside the package.
+different algorithms from the ones inside the package.  The enhanced-state
+oracles resolve every state from scratch with ``resolve``, never through
+the package's incremental resolution store.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import math
 from itertools import combinations, combinations_with_replacement, permutations
 
-from almax.diagram import Diagram, State
+from almax.diagram import Diagram, State, resolve
 from almax.homology import AbelianGroup
+from almax.khovanov import LOOP_VALUE, LaurentPoly
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet
-from almax.state_graph import StateGraph, format_vertex
+from almax.state_graph import StateGraph, format_vertex, is_a_adequate
 from almax.xd import tuple_cell_id
 
 
@@ -92,6 +95,75 @@ def face_count(diagram: Diagram) -> int:
             ci, slot = partner[cur]
             cur = (ci, (slot + 1) % 4)
     return faces
+
+
+def bracket_oracle(diagram: Diagram) -> LaurentPoly:
+    """Kauffman bracket as the state sum of A^sigma * d^circles over ``trace_circle_count``."""
+    c = diagram.crossing_count
+    total = LaurentPoly.zero()
+    for mask in range(1 << c):
+        circles = trace_circle_count(diagram, mask_state(c, mask))
+        total = total + LaurentPoly.monomial(1, c - 2 * mask.bit_count()) * LOOP_VALUE**circles
+    return total
+
+
+# --- enhanced-state oracles ---------------------------------------------------
+#
+# A generator is (mask, negatives), as in the package: bit x of mask set
+# means a B-label at crossing x, negatives the names of the negative circles.
+
+
+def mask_state(c: int, mask: int) -> State:
+    return State.from_b_indices(c, [x for x in range(c) if mask >> x & 1])
+
+
+def sign_map(diagram: Diagram, generator) -> dict:
+    """Circle name -> sign of that circle, for every circle of the generator's state."""
+    mask, negatives = generator
+    res = resolve(diagram, mask_state(diagram.crossing_count, mask))
+    stray = negatives - set(res.circles)
+    if stray:
+        raise ValueError(f"signs refer to unknown circles: {sorted(stray)}")
+    return {name: -1 if name in negatives else 1 for name in res.circles}
+
+
+def gradings(diagram: Diagram, generator) -> tuple[int, int]:
+    """(i, j) of a generator: i = #A - #B, j = i + 2 * (sum of signs)."""
+    i = diagram.crossing_count - 2 * generator[0].bit_count()
+    return i, i + 2 * sum(sign_map(diagram, generator).values())
+
+
+def enhanced_census(diagram: Diagram) -> dict:
+    """Every enhanced state of the diagram, grouped by (i, j)."""
+    c = diagram.crossing_count
+    census: dict = {}
+    for mask in range(1 << c):
+        circles = resolve(diagram, mask_state(c, mask)).circles
+        i = c - 2 * mask.bit_count()
+        for negatives in range(len(circles) + 1):
+            bucket = census.setdefault((i, i + 2 * (len(circles) - 2 * negatives)), [])
+            bucket.extend((mask, frozenset(combo)) for combo in combinations(circles, negatives))
+    return census
+
+
+def almost_extreme_generators(diagram: Diagram) -> dict:
+    """Generators of the almost-extreme column, by the closed characterization.
+
+    For an A-adequate diagram these are the all-A states with exactly one
+    negative circle, plus, for each non-empty B-set of size r, the
+    all-positive states whose resolution has |all-A circles| + r - 2
+    circles.  Must coincide with the census of the column.
+    """
+    if not is_a_adequate(diagram):
+        raise ValueError("almost-extreme characterization needs an A-adequate diagram")
+    c = diagram.crossing_count
+    all_a = resolve(diagram, State.all_a(c)).circles
+    per_i = {c: [(0, frozenset({name})) for name in all_a]}
+    for mask in range(1, 1 << c):
+        r = mask.bit_count()
+        if resolve(diagram, mask_state(c, mask)).circle_count == len(all_a) + r - 2:
+            per_i.setdefault(c - 2 * r, []).append((mask, frozenset()))
+    return per_i
 
 
 # --- fixture generators ------------------------------------------------------

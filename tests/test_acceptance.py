@@ -138,7 +138,7 @@ def test_criterion_6_reidemeister_one_shift(corpus, full_tables):
         shifted = shift_table(full_tables[name], 1, 3)
         for arc in rng.sample(arcs, k=min(3, len(arcs))):
             kinked = add_positive_kink(d, arc)
-            assert full_homology_table(kinked) == shifted, (name, arc)
+            assert full_homology_table(kinked)[0] == shifted, (name, arc)
     print("ACCEPTANCE 6 Reidemeister-I shift: PASS")
 
 
@@ -176,7 +176,7 @@ def test_criterion_8_structural_properties(corpus, full_tables):
         for seed in range(5):
             order = list(range(c))
             random.Random(seed * 31 + c).shuffle(order)
-            assert full_homology_table(reorder_crossings(d, order)) == full_tables[name], (
+            assert full_homology_table(reorder_crossings(d, order))[0] == full_tables[name], (
                 name,
                 seed,
             )

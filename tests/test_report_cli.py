@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from almax import diagram as diagram_module
+from almax import khovanov, report as report_module, state_graph
 from almax.cli import main
 from almax.diagram import InadequateDiagramError, parse_pd
 from almax.homology import AbelianGroup
@@ -32,6 +35,23 @@ class TestAnalyzeDiagram:
         assert report.agreement
         assert report.tables["direct"] == {(0, -2): AbelianGroup(1)}
         assert report.homotopy.render() == "S^-1"
+
+    def test_adequate_input_resolves_at_most_four_states(self, monkeypatch, corpus):
+        # all-A graph, the mirror's all-A (B-adequacy), all-B, and the direct route's mask 0
+        calls = Counter()
+        real_resolve = diagram_module.resolve
+
+        def counting_resolve(*args):
+            calls["resolve"] += 1
+            return real_resolve(*args)
+
+        for module in (diagram_module, khovanov, report_module, state_graph):
+            monkeypatch.setattr(module, "resolve", counting_resolve)
+        for name in ("left_trefoil", "figure_eight", "8_20", "10_44"):
+            calls.clear()
+            report = analyze_diagram(corpus[name])
+            assert report.agreement, name
+            assert calls["resolve"] <= 4, name
 
     def test_whole_corpus_agrees(self, corpus):
         for name, d in corpus.items():
