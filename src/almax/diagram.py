@@ -138,14 +138,6 @@ class State:
         b = set(b_indices)
         return cls(tuple("B" if i in b else "A" for i in range(crossing_count)))
 
-    def b_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, l in enumerate(self.labels) if l == "B")
-
-    def sigma(self) -> int:
-        """#A-labels minus #B-labels."""
-        b = sum(1 for l in self.labels if l == "B")
-        return len(self.labels) - 2 * b
-
     def flip(self, crossing: int) -> "State":
         labels = list(self.labels)
         labels[crossing] = "B" if labels[crossing] == "A" else "A"
@@ -158,17 +150,16 @@ class State:
 
 @dataclass
 class Resolution:
-    """System of circles and chords obtained by smoothing every crossing.
+    """System of circles obtained by smoothing every crossing.
 
     Circles partition the arc-end positions; each circle is named by its
     least arc-end, and ``circles`` lists the names in sorted order.
-    ``chords`` has one entry per crossing: the circles met by slot 0 and
-    slot 2 of that crossing, plus the crossing's label.
+    ``end_circle`` maps each arc end to its circle; the chord of crossing x
+    joins ``end_circle[(x, 0)]`` and ``end_circle[(x, 2)]``.
     """
 
     circles: tuple[ArcEnd, ...]
-    chords: tuple[tuple[ArcEnd, ArcEnd, str], ...]
-    end_circle: dict[ArcEnd, ArcEnd] = field(repr=False, compare=False, default_factory=dict)
+    end_circle: dict[ArcEnd, ArcEnd] = field(repr=False)
 
     @property
     def circle_count(self) -> int:
@@ -193,8 +184,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
 
     Circles are computed by a disjoint-set union over arc ends: the two
     global ends of each arc are unified, and at each crossing the label's
-    slot pairs are unified.  Each crossing contributes one chord joining
-    the circles of its slots 0 and 2.  Nothing is cached: callers that walk
+    slot pairs are unified.  Nothing is cached: callers that walk
     many states of one diagram derive them incrementally instead (see
     ``khovanov._Ctx``), and this function is their reference.
     """
@@ -204,7 +194,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
             f"state defined on {len(state.labels)} crossings, diagram has {c}"
         )
     if c == 0:
-        return Resolution(circles=(FREE_LOOP,), chords=(), end_circle={})
+        return Resolution(circles=(FREE_LOOP,), end_circle={})
 
     parent: dict[ArcEnd, ArcEnd] = {
         (ci, slot): (ci, slot) for ci in range(c) for slot in range(4)
@@ -234,10 +224,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
 
     end_circle = {end: find(end) for end in parent}
     circles = tuple(sorted(set(end_circle.values())))
-    chords = tuple(
-        (end_circle[(ci, 0)], end_circle[(ci, 2)], state.labels[ci]) for ci in range(c)
-    )
-    return Resolution(circles=circles, chords=chords, end_circle=end_circle)
+    return Resolution(circles=circles, end_circle=end_circle)
 
 
 def mirror(diagram: Diagram) -> Diagram:

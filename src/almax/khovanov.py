@@ -199,11 +199,7 @@ class _Ctx:
             circles.add(name)
             for end in ends:
                 end_circle[end] = name
-        chords = tuple(
-            (end_circle[(ci, 0)], end_circle[(ci, 2)], "B" if mask >> ci & 1 else "A")
-            for ci in range(self.c)
-        )
-        return Resolution(circles=tuple(sorted(circles)), chords=chords, end_circle=end_circle)
+        return Resolution(circles=tuple(sorted(circles)), end_circle=end_circle)
 
 
 def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:

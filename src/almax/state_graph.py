@@ -42,10 +42,12 @@ class StateGraph:
 
 
 def build_state_graph(diagram: Diagram, state: State) -> StateGraph:
+    """Circles as vertices; crossing x gives the edge between the circles at its slots 0 and 2."""
     res = resolve(diagram, state)
+    end = res.end_circle
     return StateGraph(
         vertices=res.circles,
-        edges=tuple((u, v) for u, v, _label in res.chords),
+        edges=tuple((end[(x, 0)], end[(x, 2)]) for x in range(diagram.crossing_count)),
     )
 
 

@@ -7,6 +7,9 @@ non-empty part of one parallel class (all remaining edges join one common
 vertex pair).  Face maps drop one edge when doing so stays inside that
 rule.  The construction works for any loopless graph, not only state
 graphs of diagrams.
+
+A cell is named by its edge tuple, ``"(v0,v2,v3)"``, or by its vertex; a
+face holds its target's position, never its name.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from itertools import combinations
 
 from .presimplicial import EMPTY_PPS, PartialPresimplicialSet
 from .state_graph import StateGraph, GraphError, format_vertex, is_connected_graph
-
-
-def _pair(edge) -> frozenset:
-    return frozenset(edge)
 
 
 def tuple_cell_id(edge_indices) -> str:
@@ -43,7 +42,7 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
     if c == 0:
         return EMPTY_PPS
     n = c - 1
-    pairs = [_pair(e) for e in graph.edges]
+    pairs = [frozenset(e) for e in graph.edges]
     classes: dict[frozenset, list[int]] = {}
     for i, pair in enumerate(pairs):
         classes.setdefault(pair, []).append(i)
@@ -57,37 +56,36 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
             for removed in combinations(members, size):
                 gone = set(removed)
                 levels[n - size].append((tuple(i for i in range(c) if i not in gone), pair))
-    cells: dict[int, tuple[str, ...]] = {n: tuple(format_vertex(v) for v in graph.vertices)}
+    cells: dict[int, tuple[str, ...]] = {}
+    position: dict[int, dict[tuple[int, ...], int]] = {}
     for k in range(n):
         levels[k].sort(key=lambda cell: cell[0])
         cells[k] = tuple(tuple_cell_id(combo) for combo, _class in levels[k])
+        position[k] = {combo: p for p, (combo, _class) in enumerate(levels[k])}
+    cells[n] = tuple(format_vertex(v) for v in graph.vertices)
 
-    faces: dict[int, dict[str, dict[int, str]]] = {}
-    if n >= 1:
-        top: dict[str, dict[int, str]] = {}
-        all_edges = tuple(range(c))
-        for vi, vertex in enumerate(graph.vertices):
-            fmap = {}
-            for i in range(c):
-                if vertex in graph.edges[i]:
-                    fmap[i] = tuple_cell_id(all_edges[:i] + all_edges[i + 1:])
-            if fmap:
-                top[cells[n][vi]] = fmap
-        if top:
-            faces[n] = top
+    # a face is defined where dropping the edge keeps the rule: at a vertex,
+    # any incident edge; below the top, an edge of the removed subset's class
+    faces: dict[int, tuple[tuple[int | None, ...], ...]] = {}
     for k in range(1, n):
-        per_cell: dict[str, dict[int, str]] = {}
-        for combo, common in levels[k]:
-            # dropping an edge of the removed subset's class keeps the rule
-            fmap = {}
-            for i, edge_index in enumerate(combo):
-                if pairs[edge_index] == common:
-                    target = combo[:i] + combo[i + 1:]
-                    fmap[i] = tuple_cell_id(target)
-            if fmap:
-                per_cell[tuple_cell_id(combo)] = fmap
-        if per_cell:
-            faces[k] = per_cell
+        below = position[k - 1]
+        faces[k] = tuple(
+            tuple(
+                below[combo[:i] + combo[i + 1:]] if pairs[edge] == common else None
+                for i, edge in enumerate(combo)
+            )
+            for combo, common in levels[k]
+        )
+    if n >= 1:
+        below = position[n - 1]
+        everything = tuple(range(c))
+        faces[n] = tuple(
+            tuple(
+                below[everything[:i] + everything[i + 1:]] if vertex in edge else None
+                for i, edge in enumerate(graph.edges)
+            )
+            for vertex in graph.vertices
+        )
 
     return PartialPresimplicialSet(top_dim=n, cells=cells, faces=faces)
 

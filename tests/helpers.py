@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from almax.diagram import Diagram, State, resolve
 from almax.homology import AbelianGroup
 from almax.khovanov import LOOP_VALUE, LaurentPoly
-from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet
+from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
 from almax.state_graph import StateGraph, format_vertex, is_a_adequate
 from almax.xd import tuple_cell_id
 
@@ -313,14 +313,16 @@ def xd_oracle(graph: StateGraph) -> PartialPresimplicialSet:
 
     Keeps each strictly increasing (k+1)-tuple whose complement joins a
     single vertex pair, and each face that drops an edge of that pair.
-    Exponential in the edge count; the reference for ``build_xd``.
+    Exponential in the edge count; the reference for ``build_xd``.  The
+    faces are written by name into the JSON form and parsed from there, so
+    no face position is computed here.
     """
     c = graph.edge_count
     if c == 0:
         return EMPTY_PPS
     n = c - 1
     pairs = [frozenset(e) for e in graph.edges]
-    cells = {n: tuple(format_vertex(v) for v in graph.vertices)}
+    cells = {str(n): [format_vertex(v) for v in graph.vertices]}
     levels = {}
     for k in range(n):
         levels[k] = [
@@ -328,33 +330,53 @@ def xd_oracle(graph: StateGraph) -> PartialPresimplicialSet:
             for combo in combinations(range(c), k + 1)
             if len({pairs[i] for i in range(c) if i not in combo}) == 1
         ]
-        cells[k] = tuple(tuple_cell_id(t) for t in levels[k])
+        cells[str(k)] = [tuple_cell_id(t) for t in levels[k]]
     faces = {}
     top = {}
-    for vi, vertex in enumerate(graph.vertices):
+    for vertex in graph.vertices:
         fmap = {
-            i: tuple_cell_id(tuple(e for e in range(c) if e != i))
+            str(i): tuple_cell_id(tuple(e for e in range(c) if e != i))
             for i in range(c)
             if vertex in graph.edges[i]
         }
         if fmap and n >= 1:
-            top[cells[n][vi]] = fmap
+            top[format_vertex(vertex)] = fmap
     if top:
-        faces[n] = top
+        faces[str(n)] = top
     for k in range(1, n):
         per_cell = {}
         for combo in levels[k]:
             (common,) = {pairs[i] for i in range(c) if i not in combo}
             fmap = {
-                i: tuple_cell_id(combo[:i] + combo[i + 1:])
+                str(i): tuple_cell_id(combo[:i] + combo[i + 1:])
                 for i, e in enumerate(combo)
                 if pairs[e] == common
             }
             if fmap:
                 per_cell[tuple_cell_id(combo)] = fmap
         if per_cell:
-            faces[k] = per_cell
-    return PartialPresimplicialSet(top_dim=n, cells=cells, faces=faces)
+            faces[str(k)] = per_cell
+    return pps_from_json_dict({"top_dim": n, "cells": cells, "faces": faces})
+
+
+# --- malformed PPS JSON -------------------------------------------------------
+
+# label -> (document, the key its error message must name)
+MALFORMED_PPS = {
+    "cells-not-an-object": ({"top_dim": 0, "cells": ["v"]}, "'cells'"),
+    "faces-not-an-object": ({"top_dim": 0, "cells": {"0": ["v"]}, "faces": ["x"]}, "'faces'"),
+    "dimension-not-an-integer": ({"top_dim": 0, "cells": {"x": ["v"]}}, "'x'"),
+    "dimension-missing": ({"top_dim": 1, "cells": {"0": ["v"]}}, "'cells'"),
+    "face-index-not-an-integer": (
+        {"top_dim": 1, "cells": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"e": {"x": "v"}}}},
+        "'x'",
+    ),
+    "face-target-not-a-string": (
+        {"top_dim": 1, "cells": {"0": ["7"], "1": ["e"]}, "faces": {"1": {"e": {"0": 7}}}},
+        "['0']",
+    ),
+    "top-dim-not-an-integer": ({"top_dim": 1.7, "cells": {"0": ["v"], "1": ["e"]}}, "'top_dim'"),
+}
 
 
 # --- SNF oracle ---------------------------------------------------------------

@@ -245,8 +245,7 @@ class TestResolutionStore:
                 got = ctx.res(mask)
                 want = resolve(d, mask_state(c, mask))
                 assert got.circles == want.circles
-                assert got.chords == want.chords
-                assert got.end_circle == want.end_circle
+                assert got.end_circle == want.end_circle  # and so the chords
 
 
 class TestAlmostExtremeGenerators:

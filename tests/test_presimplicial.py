@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,38 +11,51 @@ from almax.presimplicial import (
     PPSError,
     chain_complex,
     pps_from_json,
+    pps_from_json_dict,
     pps_to_json,
+    pps_to_json_dict,
     validate_pps,
 )
+from helpers import MALFORMED_PPS
+
+DATA = Path(__file__).parent / "data"
 
 # three triangles with all their 1-faces collapsed except the listed ones;
 # the realization is the projective plane
-PROJECTIVE_PLANE = PartialPresimplicialSet(
-    top_dim=2,
-    cells={0: (), 1: ("r0", "r1", "r2"), 2: ("T0", "T1", "T2")},
-    faces={
-        2: {
-            "T0": {0: "r2", 2: "r0"},
-            "T1": {0: "r2", 1: "r1"},
-            "T2": {1: "r1", 2: "r0"},
+PROJECTIVE_PLANE_DOC = {
+    "top_dim": 2,
+    "cells": {"0": [], "1": ["r0", "r1", "r2"], "2": ["T0", "T1", "T2"]},
+    "faces": {
+        "2": {
+            "T0": {"0": "r2", "2": "r0"},
+            "T1": {"0": "r2", "1": "r1"},
+            "T2": {"1": "r1", "2": "r0"},
         }
     },
-)
+}
+PROJECTIVE_PLANE = pps_from_json_dict(PROJECTIVE_PLANE_DOC)
+
+FULL_TWO_SIMPLEX_DOC = {
+    "top_dim": 2,
+    "cells": {"0": ["v0", "v1", "v2"], "1": ["e01", "e02", "e12"], "2": ["T"]},
+    "faces": {
+        "1": {
+            "e01": {"0": "v1", "1": "v0"},
+            "e02": {"0": "v2", "1": "v0"},
+            "e12": {"0": "v2", "1": "v1"},
+        },
+        "2": {"T": {"0": "e12", "1": "e02", "2": "e01"}},
+    },
+}
 
 
 def full_two_simplex():
-    return PartialPresimplicialSet(
-        top_dim=2,
-        cells={0: ("v0", "v1", "v2"), 1: ("e01", "e02", "e12"), 2: ("T",)},
-        faces={
-            1: {
-                "e01": {0: "v1", 1: "v0"},
-                "e02": {0: "v2", 1: "v0"},
-                "e12": {0: "v2", 1: "v1"},
-            },
-            2: {"T": {0: "e12", 1: "e02", 2: "e01"}},
-        },
-    )
+    return pps_from_json_dict(FULL_TWO_SIMPLEX_DOC)
+
+
+def with_faces(doc, k, per_cell):
+    """A copy of the JSON form ``doc`` with the faces of dimension k replaced."""
+    return {**doc, "faces": {**doc["faces"], str(k): per_cell}}
 
 
 def reduced_homology(pps):
@@ -56,11 +70,8 @@ class TestValidate:
         assert validate_pps(full_two_simplex()) is None
 
     def test_redirected_top_face_is_caught(self):
-        pps = full_two_simplex()
-        broken = PartialPresimplicialSet(
-            top_dim=2,
-            cells=pps.cells,
-            faces={1: pps.faces[1], 2: {"T": {0: "e01", 1: "e02", 2: "e01"}}},
+        broken = pps_from_json_dict(
+            with_faces(FULL_TWO_SIMPLEX_DOC, 2, {"T": {"0": "e01", "1": "e02", "2": "e01"}})
         )
         violation = validate_pps(broken)
         assert violation is not None
@@ -70,33 +81,44 @@ class TestValidate:
     def test_collapsed_edges_absorb_any_top_assignment(self):
         # with every face of the 1-cells undefined, both composites are 0, so
         # redirecting d_0(T0) onto r0 still satisfies the zero-extension axiom
-        redirected = PartialPresimplicialSet(
-            top_dim=2,
-            cells=PROJECTIVE_PLANE.cells,
-            faces={
-                2: {
-                    "T0": {0: "r0", 2: "r0"},
-                    "T1": {0: "r2", 1: "r1"},
-                    "T2": {1: "r1", 2: "r0"},
-                }
-            },
+        redirected = pps_from_json_dict(
+            with_faces(
+                PROJECTIVE_PLANE_DOC,
+                2,
+                {
+                    "T0": {"0": "r0", "2": "r0"},
+                    "T1": {"0": "r2", "1": "r1"},
+                    "T2": {"1": "r1", "2": "r0"},
+                },
+            )
         )
         assert validate_pps(redirected) is None
 
     def test_dangling_face_rejected_structurally(self):
         with pytest.raises(PPSError):
-            PartialPresimplicialSet(
-                top_dim=1,
-                cells={0: ("v",), 1: ("e",)},
-                faces={1: {"e": {0: "missing"}}},
+            pps_from_json_dict(
+                {
+                    "top_dim": 1,
+                    "cells": {"0": ["v"], "1": ["e"]},
+                    "faces": {"1": {"e": {"0": "missing"}}},
+                }
             )
 
+    def test_face_position_outside_the_cells_below_rejected(self):
+        with pytest.raises(PPSError, match="outside"):
+            PartialPresimplicialSet(
+                top_dim=1, cells={0: ("v",), 1: ("e",)}, faces={1: ((1, None),)}
+            )
+
+    def test_faces_must_align_with_cells(self):
+        with pytest.raises(PPSError, match="one 2-tuple per cell"):
+            PartialPresimplicialSet(top_dim=1, cells={0: ("v",), 1: ("e",)}, faces={1: ((0,),)})
+        with pytest.raises(PPSError, match="one 2-tuple per cell"):
+            PartialPresimplicialSet(top_dim=1, cells={0: ("v",), 1: ("e",)}, faces={1: ()})
+
     def test_chain_complex_refuses_invalid(self):
-        pps = full_two_simplex()
-        broken = PartialPresimplicialSet(
-            top_dim=2,
-            cells=pps.cells,
-            faces={1: pps.faces[1], 2: {"T": {0: "e01", 1: "e02", 2: "e01"}}},
+        broken = pps_from_json_dict(
+            with_faces(FULL_TWO_SIMPLEX_DOC, 2, {"T": {"0": "e01", "1": "e02", "2": "e01"}})
         )
         with pytest.raises(PPSError):
             chain_complex(broken)
@@ -120,10 +142,12 @@ class TestChainComplex:
         assert groups == {0: AbelianGroup(1)}
 
     def test_two_glued_one_simplices_make_a_circle(self):
-        circle = PartialPresimplicialSet(
-            top_dim=1,
-            cells={0: ("v0", "v1"), 1: ("a", "b")},
-            faces={1: {"a": {0: "v1", 1: "v0"}, "b": {0: "v1", 1: "v0"}}},
+        circle = pps_from_json_dict(
+            {
+                "top_dim": 1,
+                "cells": {"0": ["v0", "v1"], "1": ["a", "b"]},
+                "faces": {"1": {"a": {"0": "v1", "1": "v0"}, "b": {"0": "v1", "1": "v0"}}},
+            }
         )
         assert reduced_homology(circle) == {1: AbelianGroup(1)}
 
@@ -135,7 +159,7 @@ class TestChainComplex:
         assert groups[-1].is_trivial
 
     def test_discrete_points(self):
-        pts = PartialPresimplicialSet(top_dim=0, cells={0: ("p", "q", "r")})
+        pts = pps_from_json_dict({"top_dim": 0, "cells": {"0": ["p", "q", "r"]}})
         assert reduced_homology(pts) == {0: AbelianGroup(2)}
 
     def test_homology_invariant_under_renaming(self):
@@ -144,25 +168,29 @@ class TestChainComplex:
         names = ["r0", "r1", "r2", "T0", "T1", "T2"]
         for _ in range(5):
             mapping = {n: f"cell{rng.randrange(10**6)}_{i}" for i, n in enumerate(names)}
-            renamed = PartialPresimplicialSet(
-                top_dim=2,
-                cells={
-                    k: tuple(mapping.get(n, n) for n in PROJECTIVE_PLANE.cells_in(k))
-                    for k in range(3)
-                },
-                faces={
-                    2: {
-                        mapping[cell]: {i: mapping[t] for i, t in fmap.items()}
-                        for cell, fmap in PROJECTIVE_PLANE.faces[2].items()
-                    }
-                },
+            renamed = pps_from_json_dict(
+                {
+                    "top_dim": 2,
+                    "cells": {
+                        str(k): [mapping.get(n, n) for n in PROJECTIVE_PLANE.cells[k]]
+                        for k in range(3)
+                    },
+                    "faces": {
+                        "2": {
+                            mapping[cell]: {i: mapping[t] for i, t in fmap.items()}
+                            for cell, fmap in PROJECTIVE_PLANE_DOC["faces"]["2"].items()
+                        }
+                    },
+                }
             )
             assert reduced_homology(renamed) == reference
 
 
 class TestJson:
     def test_round_trip_is_bit_exact(self):
-        for pps in (PROJECTIVE_PLANE, full_two_simplex(), EMPTY_PPS):
+        dumped = [pps_from_json(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+        assert len(dumped) == 3
+        for pps in (PROJECTIVE_PLANE, full_two_simplex(), EMPTY_PPS, *dumped):
             text = pps_to_json(pps)
             again = pps_from_json(text)
             assert again == pps
@@ -186,3 +214,32 @@ class TestJson:
                 '{"top_dim": 1, "cells": {"0": ["v"], "1": ["e"]},'
                 ' "faces": {"1": {"e": {"0": "ghost"}}}}'
             )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"top_dim": 0, "cells": {"0": ["p", "p"]}},
+            {"top_dim": 1, "cells": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"e": {"2": "v"}}}},
+            {"top_dim": 1, "cells": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"f": {"0": "v"}}}},
+            {"top_dim": 1, "cells": {"0": ["v"], "1": ["e"]}, "faces": {"0": {"v": {"0": "v"}}}},
+            {"top_dim": 1, "cells": {"0": ["v"], "2": ["t"]}},
+            {"top_dim": -2, "cells": {}},
+        ],
+        ids=[
+            "duplicate-ids",
+            "face-index-above-k",
+            "faces-of-unknown-cell",
+            "faces-in-dimension-0",
+            "cell-dimension-above-top",
+            "top-dim-below-minus-one",
+        ],
+    )
+    def test_structural_rejections(self, doc):
+        with pytest.raises(PPSError):
+            pps_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc, key", MALFORMED_PPS.values(), ids=MALFORMED_PPS)
+    def test_malformed_input_names_the_key(self, doc, key):
+        with pytest.raises(PPSError) as caught:
+            pps_from_json(json.dumps(doc))
+        assert key in str(caught.value)

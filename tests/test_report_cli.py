@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,10 @@ from almax.homology import AbelianGroup
 from almax.presimplicial import pps_from_json
 from almax.report import analyze_diagram, format_homology_table
 
-from conftest import B_ADEQUATE_ONLY, KNOT_8_20, LEFT_TREFOIL, RIGHT_TREFOIL
+from conftest import B_ADEQUATE_ONLY, FIGURE_EIGHT, KNOT_8_20, LEFT_TREFOIL, RIGHT_TREFOIL
+from helpers import MALFORMED_PPS
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestAnalyzeDiagram:
@@ -177,11 +181,22 @@ class TestCliAnalyze:
         assert main(["analyze", LEFT_TREFOIL, "--dump-pps", str(target)]) == 0
         pps = pps_from_json(target.read_text())
         assert pps.top_dim == 2
-        assert len(pps.cells_in(2)) == 3
+        assert len(pps.cells[2]) == 3
+
+    @pytest.mark.parametrize(
+        "pd, pinned",
+        [
+            (LEFT_TREFOIL, "left_trefoil_cells.json"),
+            (FIGURE_EIGHT, "figure_eight_cells.json"),
+            (KNOT_8_20, "8_20_cells.json"),
+        ],
+    )
+    def test_dump_pps_bytes_are_pinned(self, tmp_path, capsys, pd, pinned):
+        target = tmp_path / "cells.json"
+        assert main(["analyze", pd, "--dump-pps", str(target)]) == 0
+        assert target.read_bytes() == (DATA / pinned).read_bytes()
 
     def test_dumped_figure_eight_cells_feed_pps_homology(self, tmp_path, capsys):
-        from conftest import FIGURE_EIGHT
-
         target = tmp_path / "fig8_cells.json"
         assert main(["analyze", FIGURE_EIGHT, "--dump-pps", str(target)]) == 0
         capsys.readouterr()
@@ -311,6 +326,17 @@ class TestCliPps:
 
     def test_missing_file(self, capsys):
         assert main(["pps", "validate", "/nonexistent/file.json"]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "homology"])
+    @pytest.mark.parametrize("doc, key", MALFORMED_PPS.values(), ids=MALFORMED_PPS)
+    def test_malformed_document_is_one_error_line(self, tmp_path, capsys, command, doc, key):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pps", command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and key in line
 
 
 class TestConsoleEntryPoint:

@@ -45,7 +45,7 @@ class TestBuildStateGraph:
     def test_edge_order_is_crossing_order(self, left_trefoil):
         g = build_state_graph(left_trefoil, State.all_a(3))
         res = resolve(left_trefoil, State.all_a(3))
-        assert g.edges == tuple((u, v) for u, v, _ in res.chords)
+        assert g.edges == tuple((res.end_circle[(x, 0)], res.end_circle[(x, 2)]) for x in range(3))
 
 
 class TestAdequacy:

@@ -4,10 +4,12 @@ import random
 
 from almax.diagram import State, mirror, parse_pd
 from almax.homology import AbelianGroup, homology, nonzero_groups
-from almax.presimplicial import chain_complex, pps_to_json, validate_pps
+import almax.presimplicial
+import almax.xd
+from almax.presimplicial import chain_complex, pps_to_json, pps_to_json_dict, validate_pps
 from almax.state_graph import GraphError, StateGraph, build_state_graph, is_a_adequate
 from almax.xd import build_xd, khovanov_degree
-from helpers import connected_multigraphs, xd_oracle
+from helpers import connected_multigraphs, torus_two_strand, xd_oracle
 
 from conftest import CORPUS
 
@@ -21,6 +23,11 @@ FIGURE_EIGHT_GRAPH = StateGraph(
     vertices=("T0", "T1", "T2"),
     edges=(("T0", "T2"), ("T0", "T1"), ("T1", "T2"), ("T1", "T2")),
 )
+
+
+def named_faces(pps, k):
+    """Faces of dimension k by name, as the JSON form writes them."""
+    return pps_to_json_dict(pps)["faces"].get(str(k))
 
 
 def reduced_homology(pps):
@@ -38,20 +45,20 @@ class TestTriangle:
     def test_cells(self):
         pps = build_xd(TRIANGLE)
         assert pps.top_dim == 2
-        assert pps.cells_in(2) == ("T0", "T1", "T2")
-        assert pps.cells_in(1) == ("(v0,v1)", "(v0,v2)", "(v1,v2)")
-        assert pps.cells_in(0) == ()
+        assert pps.cells[2] == ("T0", "T1", "T2")
+        assert pps.cells[1] == ("(v0,v1)", "(v0,v2)", "(v1,v2)")
+        assert pps.cells[0] == ()
 
     def test_face_maps_match_projective_plane_data(self):
         # with r0 = (v0,v1), r1 = (v0,v2), r2 = (v1,v2): d_0 T0 = r2, d_2 T0 = r0,
         # d_0 T1 = r2, d_1 T1 = r1, d_1 T2 = r1, d_2 T2 = r0, nothing else
         pps = build_xd(TRIANGLE)
-        assert pps.faces[2] == {
-            "T0": {0: "(v1,v2)", 2: "(v0,v1)"},
-            "T1": {0: "(v1,v2)", 1: "(v0,v2)"},
-            "T2": {1: "(v0,v2)", 2: "(v0,v1)"},
+        assert named_faces(pps, 2) == {
+            "T0": {"0": "(v1,v2)", "2": "(v0,v1)"},
+            "T1": {"0": "(v1,v2)", "1": "(v0,v2)"},
+            "T2": {"1": "(v0,v2)", "2": "(v0,v1)"},
         }
-        assert 1 not in pps.faces  # edge cells keep all faces undefined
+        assert named_faces(pps, 1) is None  # edge cells keep all faces undefined
 
     def test_homology_is_projective_plane(self):
         assert reduced_homology(build_xd(TRIANGLE)) == {1: AbelianGroup(0, (2,))}
@@ -61,28 +68,29 @@ class TestFigureEightGraph:
     def test_cells_match_worked_example(self):
         pps = build_xd(FIGURE_EIGHT_GRAPH)
         assert pps.top_dim == 3
-        assert pps.cells_in(3) == ("T0", "T1", "T2")
-        assert pps.cells_in(2) == (
+        assert pps.cells[3] == ("T0", "T1", "T2")
+        assert pps.cells[2] == (
             "(v0,v1,v2)",
             "(v0,v1,v3)",
             "(v0,v2,v3)",
             "(v1,v2,v3)",
         )
-        assert pps.cells_in(1) == ("(v0,v1)",)
-        assert pps.cells_in(0) == ()
+        assert pps.cells[1] == ("(v0,v1)",)
+        assert pps.cells[0] == ()
 
     def test_the_ten_face_assignments(self):
         pps = build_xd(FIGURE_EIGHT_GRAPH)
-        assert pps.faces[3] == {
-            "T0": {0: "(v1,v2,v3)", 1: "(v0,v2,v3)"},
-            "T1": {1: "(v0,v2,v3)", 2: "(v0,v1,v3)", 3: "(v0,v1,v2)"},
-            "T2": {0: "(v1,v2,v3)", 2: "(v0,v1,v3)", 3: "(v0,v1,v2)"},
+        assert named_faces(pps, 3) == {
+            "T0": {"0": "(v1,v2,v3)", "1": "(v0,v2,v3)"},
+            "T1": {"1": "(v0,v2,v3)", "2": "(v0,v1,v3)", "3": "(v0,v1,v2)"},
+            "T2": {"0": "(v1,v2,v3)", "2": "(v0,v1,v3)", "3": "(v0,v1,v2)"},
         }
-        assert pps.faces[2] == {
-            "(v0,v1,v2)": {2: "(v0,v1)"},
-            "(v0,v1,v3)": {2: "(v0,v1)"},
+        assert named_faces(pps, 2) == {
+            "(v0,v1,v2)": {"2": "(v0,v1)"},
+            "(v0,v1,v3)": {"2": "(v0,v1)"},
         }
-        assert sum(len(f) for per in pps.faces.values() for f in per.values()) == 10
+        defined = [t for fmaps in pps.faces.values() for fmap in fmaps for t in fmap]
+        assert sum(t is not None for t in defined) == 10
 
     def test_homology_is_suspended_projective_plane(self):
         assert reduced_homology(build_xd(FIGURE_EIGHT_GRAPH)) == {2: AbelianGroup(0, (2,))}
@@ -94,11 +102,11 @@ class TestParallelDipole:
         g = StateGraph(vertices=("u", "w"), edges=(("u", "w"),) * c)
         pps = build_xd(g)
         assert pps.top_dim == c - 1
-        assert len(pps.cells_in(c - 1)) == 2
+        assert len(pps.cells[c - 1]) == 2
         from math import comb
 
         for k in range(c - 1):
-            assert len(pps.cells_in(k)) == comb(c, k + 1)
+            assert len(pps.cells[k]) == comb(c, k + 1)
         assert not pps.is_proper()
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
@@ -149,8 +157,8 @@ class TestStructuralCounts:
             c = d.crossing_count
             g = build_state_graph(d, State.all_a(c))
             pps = build_xd(g)
-            assert len(pps.cells_in(c - 1)) == len(g.vertices)
-            assert len(pps.cells_in(c - 2)) == c
+            assert len(pps.cells[c - 1]) == len(g.vertices)
+            assert len(pps.cells[c - 2]) == c
 
     def test_validate_passes_exhaustively_up_to_four_edges(self):
         count = 0
@@ -203,7 +211,7 @@ def assert_matches_oracle(graph):
     built, expected = build_xd(graph), xd_oracle(graph)
     assert built == expected
     for k in expected.cells:
-        assert built.cells_in(k) == expected.cells_in(k)  # same order, not only same set
+        assert built.cells[k] == expected.cells[k]  # same order, not only same set
     assert pps_to_json(built) == pps_to_json(expected)
 
 
@@ -226,3 +234,27 @@ class TestAgainstSubsetFilterOracle:
     def test_exhaustive_up_to_four_edges(self):
         for v, edges in connected_multigraphs(4):
             assert_matches_oracle(graph_from_edges(v, edges))
+
+
+class TestIntegerFaces:
+    def test_ids_formatted_once_per_cell_and_validated_in_chain_complex(self, monkeypatch):
+        calls = {"tuple_cell_id": 0, "validate_pps": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counting(almax.xd, "tuple_cell_id")
+        counting(almax.presimplicial, "validate_pps")
+        c = 10
+        pps = build_xd(build_state_graph(torus_two_strand(c), State.all_a(c)))
+        below_top = sum(len(pps.cells[k]) for k in range(c - 1))
+        assert below_top == 2**c - 2
+        assert calls["tuple_cell_id"] == below_top
+        assert reduced_homology(pps) == {c - 1: AbelianGroup(1)}
+        assert calls["validate_pps"] == 1
