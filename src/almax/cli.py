@@ -28,7 +28,9 @@ from .khovanov import (
     framed_to_oriented,
     full_homology_table,
 )
-from .presimplicial import PPSError, chain_complex, pps_from_json, pps_to_json, validate_pps
+from .presimplicial import (
+    AxiomViolationError, PPSError, chain_complex, pps_from_json, pps_to_json, validate_pps
+)
 from .report import analyze_diagram, format_homology_table, render_table_json
 
 ENV_MAX_C = "ALMAX_MAX_C"
@@ -172,8 +174,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_pps(args) -> int:
     pps = pps_from_json(Path(args.file).read_text())
-    violation = validate_pps(pps)
     if args.pps_command == "validate":
+        violation = validate_pps(pps)
         if args.format == "json":
             doc = {"valid": violation is None}
             if violation is not None:
@@ -191,11 +193,12 @@ def _cmd_pps(args) -> int:
         else:
             print(f"INVALID: {violation.describe()}")
         return EXIT_OK if violation is None else EXIT_BAD_DIAGRAM
-    # homology
-    if violation is not None:
-        print(f"INVALID: {violation.describe()}", file=sys.stderr)
+    try:
+        complex_ = chain_complex(pps, reduced=not args.unreduced)
+    except AxiomViolationError as exc:
+        print(f"INVALID: {exc.violation.describe()}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM
-    groups = nonzero_groups(homology(chain_complex(pps, reduced=not args.unreduced)))
+    groups = nonzero_groups(homology(complex_))
     if args.format == "json":
         doc = {
             "reduced": not args.unreduced,

@@ -3,7 +3,9 @@
 A crossing is a quadruple of arc ids listed counterclockwise around the
 crossing, slot 0 being the incoming under-strand.  Smoothing convention:
 an A-label joins slots {0,1} and {2,3}, a B-label joins {0,3} and {1,2}.
-With this convention the standard left trefoil code
+It is written down once, in ``step_table``, and every circle of the
+package is found by ``trace_circle`` walking that table.  With this
+convention the standard left trefoil code
 ``X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)`` has an all-A resolution with three
 circles and a triangular state graph, which is the calibration test for
 the whole package.
@@ -166,27 +168,49 @@ class Resolution:
         return len(self.circles)
 
 
-_A_PAIRS = ((0, 1), (2, 3))
-_B_PAIRS = ((0, 3), (1, 2))
+# slot -> the slot a smoothing joins it to: A joins {0,1} and {2,3}, B joins {0,3} and {1,2}
+_A_JOINS = (1, 0, 3, 2)
+_B_JOINS = (3, 2, 1, 0)
 
 
-def arc_partners(diagram: Diagram) -> dict[ArcEnd, ArcEnd]:
-    """The other end of each arc: a perfect matching on the arc ends."""
+def step_table(diagram: Diagram) -> dict:
+    """Arc end -> per label (0 = A, 1 = B): (the end its smoothing joins, the next end).
+
+    From an arc end a circle crosses the smoothing to the end it joins,
+    then follows that end's arc to its other end, the next end.  Keys are
+    in sorted order.
+    """
     partner: dict[ArcEnd, ArcEnd] = {}
     for first, second in _arc_occurrences(diagram.crossings).values():
-        partner[first] = second
-        partner[second] = first
-    return partner
+        partner[first], partner[second] = second, first
+    steps = {}
+    for ci in range(diagram.crossing_count):
+        for slot in range(4):
+            a, b = (ci, _A_JOINS[slot]), (ci, _B_JOINS[slot])
+            steps[ci, slot] = ((a, partner[a]), (b, partner[b]))
+    return steps
+
+
+def trace_circle(steps: dict, mask: int, start: ArcEnd) -> list[ArcEnd]:
+    """Arc ends of the circle through ``start`` when bit x of ``mask`` B-labels crossing x."""
+    ends = []
+    end = start
+    while True:
+        joined, following = steps[end][mask >> end[0] & 1]
+        ends.append(end)
+        ends.append(joined)
+        end = following
+        if end == start:
+            return ends
 
 
 def resolve(diagram: Diagram, state: State) -> Resolution:
     """Smooth every crossing of ``diagram`` according to ``state``.
 
-    Circles are computed by a disjoint-set union over arc ends: the two
-    global ends of each arc are unified, and at each crossing the label's
-    slot pairs are unified.  Nothing is cached: callers that walk
-    many states of one diagram derive them incrementally instead (see
-    ``khovanov._Ctx``), and this function is their reference.
+    Every circle is traced once through ``step_table``, starting from its
+    least arc end, which names it.  Nothing is cached: callers that walk
+    many states of one diagram derive them incrementally with the same
+    table and ``trace_circle`` instead (see ``khovanov._Ctx``).
     """
     c = diagram.crossing_count
     if len(state.labels) != c:
@@ -195,36 +219,16 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
         )
     if c == 0:
         return Resolution(circles=(FREE_LOOP,), end_circle={})
-
-    parent: dict[ArcEnd, ArcEnd] = {
-        (ci, slot): (ci, slot) for ci in range(c) for slot in range(4)
-    }
-
-    def find(x: ArcEnd) -> ArcEnd:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x: ArcEnd, y: ArcEnd) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # keep the smaller end as representative: names come out canonical
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    for first, second in _arc_occurrences(diagram.crossings).values():
-        union(first, second)
-    for ci, label in enumerate(state.labels):
-        for s, t in _A_PAIRS if label == "A" else _B_PAIRS:
-            union((ci, s), (ci, t))
-
-    end_circle = {end: find(end) for end in parent}
-    circles = tuple(sorted(set(end_circle.values())))
-    return Resolution(circles=circles, end_circle=end_circle)
+    steps = step_table(diagram)
+    mask = sum(1 << ci for ci, label in enumerate(state.labels) if label == "B")
+    end_circle: dict[ArcEnd, ArcEnd] = {}
+    circles = []
+    for start in steps:
+        if start not in end_circle:
+            circles.append(start)
+            for end in trace_circle(steps, mask, start):
+                end_circle[end] = start
+    return Resolution(circles=tuple(circles), end_circle=end_circle)
 
 
 def mirror(diagram: Diagram) -> Diagram:

@@ -93,9 +93,6 @@ class IntMatrix:
             if not row:
                 del self.data[r]
 
-    def entry(self, r: int, c: int) -> int:
-        return self.data.get(r, {}).get(c, 0)
-
     def to_rows(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
         for r, row in self.data.items():

@@ -43,10 +43,6 @@ class HomotopyType:
         if self.rp2_suspensions is not None and self.rp2_suspensions < 0:
             raise ValueError("suspension count must be >= 0")
 
-    @property
-    def is_point(self) -> bool:
-        return not self.spheres and self.rp2_suspensions is None
-
     def reduced_homology(self) -> dict[int, AbelianGroup]:
         """Non-trivial reduced homology groups per degree."""
         free = Counter(self.spheres)

@@ -10,9 +10,11 @@ untouched circles, and follows the merge/split sign rules that preserve j;
 its incidence sign is (-1)^k with k the number of B-labels after the
 flipped crossing.  Homological degree i drops by 2.
 
-``build_column``, ``full_homology_table``, ``kauffman_bracket`` and
-``generator_rank_table`` each build a ``_Ctx`` of their own and walk the
-cube at most once; nothing is cached between calls.
+There is one walk of the cube, ``_walk``: depth-first from all-A, each
+mask met once with its resolution.  ``build_column`` runs it with the
+deficit cut for one j; ``full_homology_table``, ``kauffman_bracket`` and
+``generator_rank_table`` run it whole.  Each call builds a ``_Ctx`` of its
+own and walks once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import ArcEnd, Diagram, Resolution, State, arc_partners, resolve
+from .diagram import Diagram, Resolution, State, resolve, step_table, trace_circle
 from .homology import (
     AbelianGroup,
     IntegerChainComplex,
@@ -137,11 +139,6 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 # -- internal enhanced-state machinery ---------------------------------------
 
 
-# slot -> the slot an A- or a B-smoothing joins it to (A: {0,1},{2,3}; B: {0,3},{1,2})
-_A_SLOT = (1, 0, 3, 2)
-_B_SLOT = (3, 2, 1, 0)
-
-
 class _Ctx:
     """Resolutions of one diagram indexed by B-label bitmask, each derived from its parent.
 
@@ -149,19 +146,13 @@ class _Ctx:
     parent, the mask minus its highest bit, with that one crossing flipped
     from A to B.  Only the circles through the flipped crossing change (two
     merge, or one splits, or on non-planar data one stays one), so only
-    they are retraced, alternately along smoothings and arcs.  The arc
-    pairing is computed once, here.
+    they are retraced with ``trace_circle``.  The step table is built once,
+    here.
     """
 
     def __init__(self, diagram: Diagram):
-        self.diagram = diagram
         self.c = diagram.crossing_count
-        arc = arc_partners(diagram)
-        # per label (A, B): arc end -> (end its smoothing joins it to, next end along the arc)
-        self._via = tuple(
-            {end: ((end[0], slots[end[1]]), arc[(end[0], slots[end[1]])]) for end in arc}
-            for slots in (_A_SLOT, _B_SLOT)
-        )
+        self._steps = step_table(diagram)
         self._res: dict[int, Resolution] = {0: resolve(diagram, State.all_a(self.c))}
 
     def res(self, mask: int) -> Resolution:
@@ -172,28 +163,15 @@ class _Ctx:
             self._res[mask] = r
         return r
 
-    def _trace(self, mask: int, start: ArcEnd) -> list[ArcEnd]:
-        """Arc ends of the circle through ``start`` in the resolution of ``mask``."""
-        via_a, via_b = self._via
-        ends = []
-        end = start
-        while True:
-            joined, end_after = (via_b if mask >> end[0] & 1 else via_a)[end]
-            ends.append(end)
-            ends.append(joined)
-            end = end_after
-            if end == start:
-                return ends
-
     def _flip(self, parent: Resolution, mask: int, x: int) -> Resolution:
         """Resolution of ``mask`` from that of ``parent``, where crossing x was A."""
         end_circle = dict(parent.end_circle)
         circles = set(parent.circles)
         circles.discard(end_circle[(x, 0)])
         circles.discard(end_circle[(x, 2)])
-        loops = [self._trace(mask, (x, 0))]
+        loops = [trace_circle(self._steps, mask, (x, 0))]
         if (x, 1) not in loops[0]:  # the circle through x split in two
-            loops.append(self._trace(mask, (x, 1)))
+            loops.append(trace_circle(self._steps, mask, (x, 1)))
         for ends in loops:
             name = min(ends)  # circles are named by their least arc end
             circles.add(name)
@@ -202,39 +180,45 @@ class _Ctx:
         return Resolution(circles=tuple(sorted(circles)), end_circle=end_circle)
 
 
-def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
-    """Enhanced states with the given j, grouped by i, via the tau constraint.
+def _walk(ctx: _Ctx, j: int | None = None):
+    """Yield (mask, resolution) for every mask, depth-first from all-A.
 
-    The masks are walked depth-first from all-A, each extended only by bits
-    above its highest one, so every mask is reached once, through its
-    parent.  A mask with deficit ``|all-A circles| + |mask| - #circles``
-    carries no j above ``j_max - 2 * deficit``.  One flip adds at most one
-    circle, so the deficit never drops from a mask to a superset, and a
-    mask whose deficit already rules out j is cut together with everything
-    above it.  The walk thus costs the column times c, not 2^c.
+    Each mask is extended only by bits above its highest one, so every mask
+    is reached once, through its parent, and its parent is resolved first.
+    With ``j`` given, the walk is cut: a mask with deficit
+    ``|all-A circles| + |mask| - #circles`` carries no j above
+    ``j_max - 2 * deficit``.  One flip adds at most one circle, so the
+    deficit never drops from a mask to a superset, and a mask whose deficit
+    already rules out j is skipped together with everything above it.  The
+    cut walk thus costs the column times c, not 2^c.
     """
-    per_i: dict[int, list] = {}
     c = ctx.c
     circles_a = ctx.res(0).circle_count
-    slack = c + 2 * circles_a - j  # j_max - j
+    slack = None if j is None else c + 2 * circles_a - j  # j_max - j
     stack = [0]
     while stack:
         mask = stack.pop()
         res = ctx.res(mask)
-        r = mask.bit_count()
-        if 2 * (circles_a + r - res.circle_count) > slack:
+        if slack is not None and 2 * (circles_a + mask.bit_count() - res.circle_count) > slack:
             continue
         stack.extend(mask | (1 << x) for x in range(mask.bit_length(), c))
-        sigma = c - 2 * r
+        yield mask, res
+
+
+def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
+    """Enhanced states with the given j, grouped by i, via the tau constraint."""
+    per_i: dict[int, list] = {}
+    c = ctx.c
+    for mask, res in _walk(ctx, j):
+        sigma = c - 2 * mask.bit_count()
         if (j - sigma) % 2:
             continue
         tau = (j - sigma) // 2
         doubled = res.circle_count - tau
         if doubled % 2 or not 0 <= doubled <= 2 * res.circle_count:
             continue
-        neg_count = doubled // 2
         bucket = per_i.setdefault(sigma, [])
-        for combo in combinations(res.circles, neg_count):
+        for combo in combinations(res.circles, doubled // 2):
             bucket.append((mask, frozenset(combo)))
     return per_i
 
@@ -290,16 +274,8 @@ class GradedComplexColumn:
         return IntegerChainComplex(ranks=ranks, boundaries=dict(self.boundaries), step=2)
 
 
-def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
-    """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
-
-    The generators are found by a pruned walk of the cube
-    (``_census_column``), so the cost follows the size of the column, not
-    2^c.  They stay (mask, negatives) pairs in the order the walk meets
-    them; the resolutions come from a ``_Ctx`` of this call's own.
-    """
-    ctx = _Ctx(diagram)
-    per_i = _census_column(ctx, j)
+def _column(ctx: _Ctx, j: int, per_i: dict[int, list]) -> GradedComplexColumn:
+    """The column of quantum grading j on the generators ``per_i``, keyed by i."""
     generators = {}
     boundaries = {}
     for i in sorted(per_i, reverse=True):
@@ -311,12 +287,22 @@ def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
     return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
 
 
+def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
+    """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
+
+    The generators are found by the walk cut at j (``_census_column``), so
+    the cost follows the size of the column, not 2^c.  They stay (mask,
+    negatives) pairs in the order the walk meets them; the resolutions come
+    from a ``_Ctx`` of this call's own.
+    """
+    ctx = _Ctx(diagram)
+    return _column(ctx, j, _census_column(ctx, j))
+
+
 def _histogram(ctx: _Ctx) -> Counter:
     """Number of masks per (sigma, circles): all that ranks and the bracket need."""
     c = ctx.c
-    return Counter(
-        (c - 2 * mask.bit_count(), ctx.res(mask).circle_count) for mask in range(1 << c)
-    )
+    return Counter((c - 2 * mask.bit_count(), res.circle_count) for mask, res in _walk(ctx))
 
 
 def _bracket(histogram: Counter) -> LaurentPoly:
@@ -376,16 +362,16 @@ def full_homology_table(
     """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
 
     One walk of the cube resolves each mask once and files every enhanced
-    state under its (j, i) in enumeration order; the same walk counts the
-    masks per (sigma, circles), from which the Kauffman bracket follows.
+    state under its (j, i) in the order the walk meets it; the same walk
+    counts the masks per (sigma, circles), from which the Kauffman bracket
+    follows.
     """
     _check_limit(diagram, limit)
     ctx = _Ctx(diagram)
     c = ctx.c
     columns: dict[int, dict[int, list]] = {}
     histogram: Counter = Counter()
-    for mask in range(1 << c):
-        res = ctx.res(mask)
+    for mask, res in _walk(ctx):
         sigma = c - 2 * mask.bit_count()
         count = res.circle_count
         histogram[sigma, count] += 1
@@ -396,12 +382,7 @@ def full_homology_table(
                 bucket.append((mask, frozenset(combo)))
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
-        per_i = columns[j]
-        ranks = {i: len(g) for i, g in per_i.items()}
-        boundaries = {
-            i: _boundary(ctx, per_i[i], per_i[i - 2]) for i in per_i if per_i.get(i - 2)
-        }
-        groups = homology(IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=2))
+        groups = homology(_column(ctx, j, columns[j]).complex())
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
     return table, _bracket(histogram)

@@ -43,6 +43,14 @@ class AxiomViolation:
         )
 
 
+class AxiomViolationError(PPSError):
+    """The face maps break the axiom; ``violation`` is the first witness."""
+
+    def __init__(self, violation: AxiomViolation):
+        super().__init__(f"face-map axiom fails: {violation.describe()}")
+        self.violation = violation
+
+
 @dataclass(frozen=True)
 class PartialPresimplicialSet:
     """Cells per dimension 0..top_dim with partial face maps.
@@ -114,11 +122,12 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
     (degree -1 carries nothing); when every face is defined no basepoint
     is added and the usual augmentation (an extra generator in degree -1
     hit once by every 0-cell) reduces degree 0.  The empty set comes out
-    with a single Z in degree -1.
+    with a single Z in degree -1.  Face maps that break the axiom raise
+    ``AxiomViolationError``.
     """
     violation = validate_pps(pps)
     if violation is not None:
-        raise PPSError(f"face-map axiom fails: {violation.describe()}")
+        raise AxiomViolationError(violation)
 
     ranks = {k: len(pps.cells[k]) for k in range(pps.top_dim + 1)}
     boundaries: dict[int, IntMatrix] = {}

@@ -1,19 +1,21 @@
 """Shared test machinery: independent oracles and fixture generators.
 
-The circle-count oracle traces circles through the smoothings as cycles of
-a permutation, with no union-find involved; the SNF oracle recovers
-invariant factors from gcds of k x k minors.  Both are deliberately
-different algorithms from the ones inside the package.  The enhanced-state
-oracles resolve every state from scratch with ``resolve``, never through
-the package's incremental resolution store.
+The resolution oracle finds circles by a union-find over arc ends, where
+the package traces them; the circle-count oracle counts the cycles of a
+composed permutation; the SNF oracle recovers invariant factors from gcds
+of k x k minors.  All are deliberately different algorithms from the ones
+inside the package, and each writes down the smoothing convention on its
+own.  The enhanced-state oracles resolve every state from scratch with
+``resolve``, never through the package's incremental resolution store.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from almax.diagram import Diagram, State, resolve
+from almax.diagram import FREE_LOOP, Diagram, DiagramError, Resolution, State, resolve
 from almax.homology import AbelianGroup
 from almax.khovanov import LOOP_VALUE, LaurentPoly
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
@@ -21,10 +23,54 @@ from almax.state_graph import StateGraph, format_vertex, is_a_adequate
 from almax.xd import tuple_cell_id
 
 
-# --- independent circle counting --------------------------------------------
+# --- independent resolutions -------------------------------------------------
 
 _A_MATCH = {0: 1, 1: 0, 2: 3, 3: 2}
 _B_MATCH = {0: 3, 3: 0, 1: 2, 2: 1}
+
+
+def arc_partner(diagram: Diagram) -> dict:
+    """The other end of each arc: a perfect matching on the arc ends (crossing, slot)."""
+    occ = {}
+    for ci, quad in enumerate(diagram.crossings):
+        for slot, arc in enumerate(quad):
+            occ.setdefault(arc, []).append((ci, slot))
+    partner = {}
+    for first, second in occ.values():
+        partner[first], partner[second] = second, first
+    return partner
+
+
+def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
+    """Circles of ``state`` by a disjoint-set union over arc ends.
+
+    The two ends of each arc are unified, and at each crossing every slot
+    with the slot its label's smoothing joins it to.  A union keeps the
+    smaller root, so each circle is named by its least arc end, as in
+    ``resolve``.
+    """
+    c = diagram.crossing_count
+    if c == 0:
+        return Resolution(circles=(FREE_LOOP,), end_circle={})
+    parent = {(ci, slot): (ci, slot) for ci in range(c) for slot in range(4)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = sorted((find(x), find(y)))
+        parent[ry] = rx
+
+    for first, second in arc_partner(diagram).items():
+        union(first, second)
+    for ci, label in enumerate(state.labels):
+        match = _A_MATCH if label == "A" else _B_MATCH
+        for slot in range(4):
+            union((ci, slot), (ci, match[slot]))
+    end_circle = {end: find(end) for end in parent}
+    return Resolution(circles=tuple(sorted(set(end_circle.values()))), end_circle=end_circle)
 
 
 def trace_circle_count(diagram: Diagram, state: State) -> int:
@@ -38,14 +84,7 @@ def trace_circle_count(diagram: Diagram, state: State) -> int:
     c = diagram.crossing_count
     if c == 0:
         return 1
-    arc_partner = {}
-    occ = {}
-    for ci, quad in enumerate(diagram.crossings):
-        for slot, arc in enumerate(quad):
-            occ.setdefault(arc, []).append((ci, slot))
-    for ends in occ.values():
-        arc_partner[ends[0]] = ends[1]
-        arc_partner[ends[1]] = ends[0]
+    partner = arc_partner(diagram)
 
     def smooth_partner(end):
         ci, slot = end
@@ -54,14 +93,14 @@ def trace_circle_count(diagram: Diagram, state: State) -> int:
 
     seen = set()
     cycles = 0
-    for start in arc_partner:
+    for start in partner:
         if start in seen:
             continue
         cycles += 1
         cur = start
         while cur not in seen:
             seen.add(cur)
-            cur = arc_partner[smooth_partner(cur)]
+            cur = partner[smooth_partner(cur)]
     assert cycles % 2 == 0
     return cycles // 2
 
@@ -75,14 +114,7 @@ def face_count(diagram: Diagram) -> int:
     """
     if diagram.crossing_count == 0:
         return 2
-    occ = {}
-    for ci, quad in enumerate(diagram.crossings):
-        for slot, arc in enumerate(quad):
-            occ.setdefault(arc, []).append((ci, slot))
-    partner = {}
-    for first, second in occ.values():
-        partner[first] = second
-        partner[second] = first
+    partner = arc_partner(diagram)
     seen = set()
     faces = 0
     for start in partner:
@@ -95,6 +127,30 @@ def face_count(diagram: Diagram) -> int:
             ci, slot = partner[cur]
             cur = (ci, (slot + 1) % 4)
     return faces
+
+
+def random_pd_codes(count: int, seed: int, max_crossings: int = 4):
+    """Connected PD codes with 1..max_crossings crossings, arcs paired at random.
+
+    The arc ends are matched uniformly, so most codes are not planar
+    (``face_count`` differs from c + 2).  They are still valid input for
+    ``resolve``, whose circles need no planarity.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        c = rng.randint(1, max_crossings)
+        slots = [(ci, slot) for ci in range(c) for slot in range(4)]
+        rng.shuffle(slots)
+        quads = [[0] * 4 for _ in range(c)]
+        for arc in range(2 * c):
+            for ci, slot in slots[2 * arc: 2 * arc + 2]:
+                quads[ci][slot] = arc + 1
+        try:
+            found.append(Diagram(tuple(map(tuple, quads))))
+        except DiagramError:  # disconnected
+            continue
+    return found
 
 
 def bracket_oracle(diagram: Diagram) -> LaurentPoly:

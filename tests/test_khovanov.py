@@ -34,9 +34,12 @@ from helpers import (
     bracket_oracle,
     braid_pd,
     enhanced_census,
+    face_count,
     gradings,
     mask_state,
+    random_pd_codes,
     sign_map,
+    union_find_resolution,
 )
 
 from conftest import KNOT_10_44
@@ -234,18 +237,38 @@ class TestResolutionStore:
         yield mirror(kinked)
         yield add_positive_kink(corpus["torus_2_5"], 1)
 
+    @staticmethod
+    def assert_match_union_find(d, rng):
+        """``resolve`` and ``_Ctx.res`` against the union-find oracle on every mask."""
+        c = d.crossing_count
+        ctx = khovanov._Ctx(d)
+        masks = list(range(1 << c))
+        rng.shuffle(masks)  # parents are not always resolved first
+        for mask in masks:
+            want = union_find_resolution(d, mask_state(c, mask))
+            for got in (resolve(d, mask_state(c, mask)), ctx.res(mask)):
+                assert got.circles == want.circles
+                assert got.end_circle == want.end_circle  # and so the chords
+        return ctx
+
     def test_derived_resolutions_match_union_find(self, corpus, unknot):
         rng = random.Random(5)
         for d in list(self.diagrams(corpus)) + [unknot]:
-            c = d.crossing_count
-            ctx = khovanov._Ctx(d)
-            masks = list(range(1 << c))
-            rng.shuffle(masks)  # parents are not always resolved first
-            for mask in masks:
-                got = ctx.res(mask)
-                want = resolve(d, mask_state(c, mask))
-                assert got.circles == want.circles
-                assert got.end_circle == want.end_circle  # and so the chords
+            self.assert_match_union_find(d, rng)
+
+    def test_non_planar_codes_match_union_find(self):
+        rng = random.Random(7)
+        codes = [
+            d for d in random_pd_codes(360, seed=11) if face_count(d) != d.crossing_count + 2
+        ]
+        stays_one = 0
+        for d in codes:
+            ctx = self.assert_match_union_find(d, rng)
+            for mask in range(1, 1 << d.crossing_count):
+                parent = mask ^ (1 << (mask.bit_length() - 1))
+                stays_one += ctx.res(mask).circle_count == ctx.res(parent).circle_count
+        # a flip on non-planar data can keep one circle one: that branch of _flip runs
+        assert len(codes) >= 250 and stays_one >= 800, (len(codes), stays_one)
 
 
 class TestAlmostExtremeGenerators:

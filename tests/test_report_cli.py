@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from almax import diagram as diagram_module
-from almax import khovanov, report as report_module, state_graph
+from almax import cli as cli_module
+from almax import khovanov, presimplicial, report as report_module, state_graph
 from almax.cli import main
 from almax.diagram import InadequateDiagramError, parse_pd
 from almax.homology import AbelianGroup
@@ -315,6 +316,23 @@ class TestCliPps:
         assert main(["pps", "validate", str(path)]) == 2
         assert "INVALID" in capsys.readouterr().out
         assert main(["pps", "homology", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "INVALID: cell 'T' in dimension 2: d_0 d_1 = v2 but d_0 d_0 = v1\n",
+        )
+
+    def test_homology_checks_the_axiom_once(self, monkeypatch, capsys):
+        calls = Counter()
+        real_validate = presimplicial.validate_pps
+
+        def counting_validate(pps):
+            calls["validate_pps"] += 1
+            return real_validate(pps)
+
+        for module in (presimplicial, cli_module):
+            monkeypatch.setattr(module, "validate_pps", counting_validate)
+        assert main(["pps", "homology", str(DATA / "8_20_cells.json")]) == 0
+        assert calls["validate_pps"] == 1
 
     def test_dangling_face_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "dangling.json"
