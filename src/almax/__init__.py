@@ -10,6 +10,7 @@ from .diagram import (
     DiagramError,
     DisconnectedDiagramError,
     InadequateDiagramError,
+    NonPlanarDiagramError,
     PDSyntaxError,
     Resolution,
     State,
@@ -56,6 +57,7 @@ __all__ = [
     "IntMatrix",
     "IntegerChainComplex",
     "LaurentPoly",
+    "NonPlanarDiagramError",
     "PDSyntaxError",
     "PartialPresimplicialSet",
     "Resolution",

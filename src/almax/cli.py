@@ -1,8 +1,8 @@
 """Command-line front end: analyze, table, and generic PPS tooling.
 
 Exit codes: 0 success (and three-route agreement for analyze), 1 usage or
-malformed input, 2 inadequate/disconnected diagram or axiom-violating PPS,
-3 cross-check failure.
+malformed input, 2 inadequate, disconnected or non-planar diagram or
+axiom-violating PPS, 3 cross-check failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 from .diagram import (
     DisconnectedDiagramError,
     InadequateDiagramError,
+    NonPlanarDiagramError,
     PDSyntaxError,
     diagram_from_json_dict,
     parse_pd,
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_pps(args)
-    except (InadequateDiagramError, DisconnectedDiagramError) as exc:
+    except (InadequateDiagramError, DisconnectedDiagramError, NonPlanarDiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM
     except (PDSyntaxError, PPSError, TableSizeError, ValueError, OSError) as exc:

@@ -4,8 +4,10 @@ A crossing is a quadruple of arc ids listed counterclockwise around the
 crossing, slot 0 being the incoming under-strand.  Smoothing convention:
 an A-label joins slots {0,1} and {2,3}, a B-label joins {0,3} and {1,2}.
 It is written down once, in ``step_table``, and every circle of the
-package is found by ``trace_circle`` walking that table.  With this
-convention the standard left trefoil code
+package is found by ``trace_circle`` walking that table.  Inside, an arc
+end (x, slot) is the integer 4x + slot, which keeps the order of the
+pairs; ``resolve`` turns them back into pairs for its ``Resolution``.
+With this convention the standard left trefoil code
 ``X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)`` has an all-A resolution with three
 circles and a triangular state graph, which is the calibration test for
 the whole package.
@@ -42,6 +44,10 @@ class DisconnectedDiagramError(DiagramError):
 
 class InadequateDiagramError(DiagramError):
     """Diagram fails the required adequacy condition."""
+
+
+class NonPlanarDiagramError(DiagramError):
+    """The PD code does not describe a planar diagram (see ``check_planar``)."""
 
 
 @dataclass(frozen=True)
@@ -173,30 +179,38 @@ _A_JOINS = (1, 0, 3, 2)
 _B_JOINS = (3, 2, 1, 0)
 
 
-def step_table(diagram: Diagram) -> dict:
-    """Arc end -> per label (0 = A, 1 = B): (the end its smoothing joins, the next end).
+def _arc_partner(diagram: Diagram) -> list[int]:
+    """The other end of each arc, indexed by the arc end e = 4 * crossing + slot."""
+    partner = [0] * (4 * diagram.crossing_count)
+    for first, second in _arc_occurrences(diagram.crossings).values():
+        a, b = 4 * first[0] + first[1], 4 * second[0] + second[1]
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def step_table(diagram: Diagram) -> list:
+    """Per arc end e = 4x + slot and label (0 = A, 1 = B): (the end joined, the next end).
 
     From an arc end a circle crosses the smoothing to the end it joins,
-    then follows that end's arc to its other end, the next end.  Keys are
-    in sorted order.
+    then follows that end's arc to its other end, the next end.  The
+    integer encoding keeps the order of (x, slot), so the least end of a
+    circle, which names it, is the same either way.
     """
-    partner: dict[ArcEnd, ArcEnd] = {}
-    for first, second in _arc_occurrences(diagram.crossings).values():
-        partner[first], partner[second] = second, first
-    steps = {}
-    for ci in range(diagram.crossing_count):
-        for slot in range(4):
-            a, b = (ci, _A_JOINS[slot]), (ci, _B_JOINS[slot])
-            steps[ci, slot] = ((a, partner[a]), (b, partner[b]))
+    partner = _arc_partner(diagram)
+    steps = []
+    for e in range(len(partner)):
+        base = e & ~3
+        a, b = base + _A_JOINS[e & 3], base + _B_JOINS[e & 3]
+        steps.append(((a, partner[a]), (b, partner[b])))
     return steps
 
 
-def trace_circle(steps: dict, mask: int, start: ArcEnd) -> list[ArcEnd]:
+def trace_circle(steps: list, mask: int, start: int) -> list[int]:
     """Arc ends of the circle through ``start`` when bit x of ``mask`` B-labels crossing x."""
     ends = []
     end = start
     while True:
-        joined, following = steps[end][mask >> end[0] & 1]
+        joined, following = steps[end][mask >> (end >> 2) & 1]
         ends.append(end)
         ends.append(joined)
         end = following
@@ -204,13 +218,70 @@ def trace_circle(steps: dict, mask: int, start: ArcEnd) -> list[ArcEnd]:
             return ends
 
 
+def trace_state(steps: list, mask: int) -> tuple[tuple[int, ...], list[int]]:
+    """(circle names in sorted order, the circle of each arc end) for the state ``mask``.
+
+    Every circle is traced once by ``trace_circle``, from its least arc
+    end, which names it.
+    """
+    end_circle = [-1] * len(steps)
+    circles = []
+    for start in range(len(steps)):
+        if end_circle[start] < 0:
+            circles.append(start)
+            for end in trace_circle(steps, mask, start):
+                end_circle[end] = start
+    return tuple(circles), end_circle
+
+
+def _face_count(diagram: Diagram) -> int:
+    """Faces of the PD rotation system: cycles of arc end -> arc partner -> next slot.
+
+    The slots of a crossing are in counterclockwise order.  The unknot has
+    two faces.
+    """
+    if diagram.crossing_count == 0:
+        return 2
+    partner = _arc_partner(diagram)
+    seen = [False] * len(partner)
+    faces = 0
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        faces += 1
+        end = start
+        while not seen[end]:
+            seen[end] = True
+            other = partner[end]
+            end = (other & ~3) | ((other + 1) & 3)
+    return faces
+
+
+def check_planar(diagram: Diagram) -> None:
+    """Raise ``NonPlanarDiagramError`` unless the PD code is a planar diagram.
+
+    With c crossings and 2c arcs, Euler's formula V - E + F = 2 says the
+    code is planar iff its rotation system has c + 2 faces.  A non-planar
+    (virtual) code has well-defined circles, but a flip can then leave one
+    circle one, which the Khovanov differential does not cover.
+    """
+    c = diagram.crossing_count
+    faces = _face_count(diagram)
+    if faces != c + 2:
+        raise NonPlanarDiagramError(
+            f"PD code is not planar: it has {faces} faces, a planar diagram with "
+            f"{c} crossings has {c + 2}"
+        )
+
+
 def resolve(diagram: Diagram, state: State) -> Resolution:
     """Smooth every crossing of ``diagram`` according to ``state``.
 
-    Every circle is traced once through ``step_table``, starting from its
-    least arc end, which names it.  Nothing is cached: callers that walk
-    many states of one diagram derive them incrementally with the same
-    table and ``trace_circle`` instead (see ``khovanov._Ctx``).
+    The circles come from ``trace_state`` over a fresh ``step_table``, and
+    arc ends are turned back into (crossing, slot) pairs only here.
+    Nothing is cached: callers that walk many states of one diagram derive
+    them incrementally with the same table and ``trace_circle`` instead
+    (see ``khovanov._Ctx``).
     """
     c = diagram.crossing_count
     if len(state.labels) != c:
@@ -219,16 +290,12 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
         )
     if c == 0:
         return Resolution(circles=(FREE_LOOP,), end_circle={})
-    steps = step_table(diagram)
     mask = sum(1 << ci for ci, label in enumerate(state.labels) if label == "B")
-    end_circle: dict[ArcEnd, ArcEnd] = {}
-    circles = []
-    for start in steps:
-        if start not in end_circle:
-            circles.append(start)
-            for end in trace_circle(steps, mask, start):
-                end_circle[end] = start
-    return Resolution(circles=tuple(circles), end_circle=end_circle)
+    circles, end_circle = trace_state(step_table(diagram), mask)
+    return Resolution(
+        circles=tuple(divmod(name, 4) for name in circles),
+        end_circle={divmod(e, 4): divmod(name, 4) for e, name in enumerate(end_circle)},
+    )
 
 
 def mirror(diagram: Diagram) -> Diagram:

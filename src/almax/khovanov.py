@@ -1,10 +1,12 @@
 """Framed Khovanov complex of an unoriented diagram, one quantum column at a time.
 
 Generators are enhanced states: a Kauffman state plus a sign on each circle
-of its resolution, kept as the plain pair (mask, negatives).  Bit x of mask
-set means a B-label at crossing x; negatives is the frozenset of the names
-of the negatively signed circles.  Generators stay in the order the cube
-walk meets them, since homology does not depend on the order of a basis.
+of its resolution, kept as the plain integer pair (mask, negbits).  Bit x of
+mask set means a B-label at crossing x.  A circle is named by its least arc
+end, the integer 4 * crossing + slot (see ``diagram.step_table``), and bit
+``name`` of negbits set means that circle is negative, so merges and splits
+are bit operations.  Generators stay in the order the cube walk meets them,
+since homology does not depend on the order of a basis.
 The differential flips a single crossing from A to B, keeps signs on
 untouched circles, and follows the merge/split sign rules that preserve j;
 its incidence sign is (-1)^k with k the number of B-labels after the
@@ -24,7 +26,15 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Diagram, Resolution, State, resolve, step_table, trace_circle
+from .diagram import (
+    Diagram,
+    State,
+    check_planar,
+    resolve,
+    step_table,
+    trace_circle,
+    trace_state,
+)
 from .homology import (
     AbelianGroup,
     IntegerChainComplex,
@@ -138,24 +148,30 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 
 # -- internal enhanced-state machinery ---------------------------------------
 
+#: A resolution inside the direct route: (sorted circle names, circle of each arc end).
+_Res = tuple[tuple[int, ...], list[int]]
+
 
 class _Ctx:
     """Resolutions of one diagram indexed by B-label bitmask, each derived from its parent.
 
-    The all-A mask 0 is resolved by ``resolve``.  Any other mask is its
-    parent, the mask minus its highest bit, with that one crossing flipped
-    from A to B.  Only the circles through the flipped crossing change (two
-    merge, or one splits, or on non-planar data one stays one), so only
-    they are retraced with ``trace_circle``.  The step table is built once,
-    here.
+    A resolution is the pair (circles, end): the sorted circle names and,
+    at index e = 4x + slot, the circle of that arc end.  The one step table
+    is built here, and mask 0 is traced over it whole.  Any other mask is
+    its parent, the mask minus its highest bit, with that one crossing
+    flipped from A to B.  Only the circles through the flipped crossing
+    change (two merge, or one splits, or on non-planar data one stays one),
+    so only they are retraced with ``trace_circle``.  The crossingless
+    unknot has no arc ends; its one circle is named 0.
     """
 
     def __init__(self, diagram: Diagram):
         self.c = diagram.crossing_count
         self._steps = step_table(diagram)
-        self._res: dict[int, Resolution] = {0: resolve(diagram, State.all_a(self.c))}
+        first = trace_state(self._steps, 0) if self.c else ((0,), [])
+        self._res: dict[int, _Res] = {0: first}
 
-    def res(self, mask: int) -> Resolution:
+    def res(self, mask: int) -> _Res:
         r = self._res.get(mask)
         if r is None:
             top = mask.bit_length() - 1
@@ -163,25 +179,26 @@ class _Ctx:
             self._res[mask] = r
         return r
 
-    def _flip(self, parent: Resolution, mask: int, x: int) -> Resolution:
+    def _flip(self, parent: _Res, mask: int, x: int) -> _Res:
         """Resolution of ``mask`` from that of ``parent``, where crossing x was A."""
-        end_circle = dict(parent.end_circle)
-        circles = set(parent.circles)
-        circles.discard(end_circle[(x, 0)])
-        circles.discard(end_circle[(x, 2)])
-        loops = [trace_circle(self._steps, mask, (x, 0))]
-        if (x, 1) not in loops[0]:  # the circle through x split in two
-            loops.append(trace_circle(self._steps, mask, (x, 1)))
+        circles, end = parent
+        end = end[:]
+        gone = (end[4 * x], end[4 * x + 2])
+        circles = [name for name in circles if name not in gone]
+        loops = [trace_circle(self._steps, mask, 4 * x)]
+        if 4 * x + 1 not in loops[0]:  # the circle through x split in two
+            loops.append(trace_circle(self._steps, mask, 4 * x + 1))
         for ends in loops:
             name = min(ends)  # circles are named by their least arc end
-            circles.add(name)
-            for end in ends:
-                end_circle[end] = name
-        return Resolution(circles=tuple(sorted(circles)), end_circle=end_circle)
+            circles.append(name)
+            for e in ends:
+                end[e] = name
+        circles.sort()
+        return tuple(circles), end
 
 
 def _walk(ctx: _Ctx, j: int | None = None):
-    """Yield (mask, resolution) for every mask, depth-first from all-A.
+    """Yield (mask, circles) for every mask, depth-first from all-A.
 
     Each mask is extended only by bits above its highest one, so every mask
     is reached once, through its parent, and its parent is resolved first.
@@ -193,71 +210,111 @@ def _walk(ctx: _Ctx, j: int | None = None):
     cut walk thus costs the column times c, not 2^c.
     """
     c = ctx.c
-    circles_a = ctx.res(0).circle_count
+    circles_a = len(ctx.res(0)[0])
     slack = None if j is None else c + 2 * circles_a - j  # j_max - j
     stack = [0]
     while stack:
         mask = stack.pop()
-        res = ctx.res(mask)
-        if slack is not None and 2 * (circles_a + mask.bit_count() - res.circle_count) > slack:
+        circles = ctx.res(mask)[0]
+        if slack is not None and 2 * (circles_a + mask.bit_count() - len(circles)) > slack:
             continue
         stack.extend(mask | (1 << x) for x in range(mask.bit_length(), c))
-        yield mask, res
+        yield mask, circles
+
+
+def _enhancements(mask: int, circles, negatives: int) -> list[tuple[int, int]]:
+    """The generators (mask, negbits) on ``mask`` with ``negatives`` negative circles."""
+    bits = [1 << name for name in circles]
+    return [(mask, sum(combo)) for combo in combinations(bits, negatives)]
 
 
 def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
     """Enhanced states with the given j, grouped by i, via the tau constraint."""
     per_i: dict[int, list] = {}
     c = ctx.c
-    for mask, res in _walk(ctx, j):
+    for mask, circles in _walk(ctx, j):
         sigma = c - 2 * mask.bit_count()
         if (j - sigma) % 2:
             continue
         tau = (j - sigma) // 2
-        doubled = res.circle_count - tau
-        if doubled % 2 or not 0 <= doubled <= 2 * res.circle_count:
+        doubled = len(circles) - tau
+        if doubled % 2 or not 0 <= doubled <= 2 * len(circles):
             continue
-        bucket = per_i.setdefault(sigma, [])
-        for combo in combinations(res.circles, doubled // 2):
-            bucket.append((mask, frozenset(combo)))
+        per_i.setdefault(sigma, []).extend(_enhancements(mask, circles, doubled // 2))
     return per_i
 
 
+def _flips(ctx: _Ctx, mask: int, target_index: dict) -> list[tuple]:
+    """Per crossing x that is A in ``mask``: (incidence, targets, b0, b2, t0, t2).
+
+    The incidence is (-1)^k, with k the number of B-labels after x, and
+    ``targets`` maps the negbits of each target generator on the flipped
+    mask to its row.  b0 and b2 are the bits of the circles at slots 0 and
+    2 of x before the flip, t0 and t2 after it; b0 == b2 means a split, and
+    t0 == t2 a merge.  Only a split needs the flipped mask's resolution,
+    and every split has an image in the column, so no mask outside the
+    walk is resolved.
+    """
+    end = ctx.res(mask)[1]
+    flips = []
+    after = 0
+    for x in range(ctx.c - 1, -1, -1):
+        bit = 1 << x
+        if mask & bit:
+            after += 1
+            continue
+        tmask = mask | bit
+        s0, s2 = end[4 * x], end[4 * x + 2]
+        if s0 != s2:
+            # a merge keeps every arc end of both circles, so the lesser name
+            t0 = t2 = min(s0, s2)
+        else:
+            tend = ctx.res(tmask)[1]
+            t0, t2 = tend[4 * x], tend[4 * x + 2]
+        incidence = -1 if after & 1 else 1
+        flips.append((incidence, target_index.get(tmask, {}), 1 << s0, 1 << s2, 1 << t0, 1 << t2))
+    return flips
+
+
 def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
-    """Matrix of the differential from the ``sources`` block to ``targets``."""
-    target_index = {gen: r for r, gen in enumerate(targets)}
+    """Matrix of the differential from the ``sources`` block to ``targets``.
+
+    Each (row, column) is met once: the flipped crossing fixes the target
+    state, and a split's two images differ in which new circle is negative.
+    So every entry is written straight into the rows.
+    """
+    target_index: dict[int, dict[int, int]] = {}
+    for r, (mask, negs) in enumerate(targets):
+        target_index.setdefault(mask, {})[negs] = r
     mat = IntMatrix(len(targets), len(sources))
-    c = ctx.c
+    rows = mat.data
+    last = None
     for col, (mask, negs) in enumerate(sources):
-        res_s = ctx.res(mask)
-        for x in range(c):
-            if mask >> x & 1:
-                continue
-            incidence = -1 if (mask >> (x + 1)).bit_count() & 1 else 1
-            tmask = mask | (1 << x)
-            cs0 = res_s.end_circle[(x, 0)]
-            cs2 = res_s.end_circle[(x, 2)]
-            if cs0 != cs2:
+        if mask != last:  # a mask's generators are contiguous: one _flips per mask
+            last = mask
+            flips = _flips(ctx, mask, target_index)
+        for incidence, targets_of, b0, b2, t0, t2 in flips:
+            if b0 != b2:
                 # two circles merge; a (+,+) pair admits no j-preserving sign
-                n0, n2 = cs0 in negs, cs2 in negs
-                if not n0 and not n2:
-                    continue
-                common = negs - {cs0, cs2}
-                if n0 and n2:
-                    common = common | {ctx.res(tmask).end_circle[(x, 0)]}
-                images = (common,)
-            else:
-                # one circle splits; a negative circle splits two ways
-                res_t = ctx.res(tmask)
-                ct0 = res_t.end_circle[(x, 0)]
-                ct2 = res_t.end_circle[(x, 2)]
-                common = negs - {cs0}
-                if cs0 in negs:
-                    images = (common | {ct0}, common | {ct2})
+                if negs & b0:
+                    images = (negs ^ b0 ^ b2 | t0,) if negs & b2 else (negs ^ b0,)
+                elif negs & b2:
+                    images = (negs ^ b2,)
                 else:
-                    images = (common,)
+                    continue
+            elif negs & b0:
+                # a negative circle splits two ways
+                images = (negs ^ b0 | t0, negs ^ b0 | t2)
+            else:
+                # a positive circle splits into two positive ones
+                images = (negs,)
             for image in images:
-                mat.add(target_index[(tmask, image)], col, incidence)
+                r = targets_of[image]
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {col: incidence}
+                else:
+                    row[col] = incidence
     return mat
 
 
@@ -266,7 +323,7 @@ class GradedComplexColumn:
     """One quantum grading j of the complex: generators and differentials by i."""
 
     j: int
-    generators: dict[int, list[tuple[int, frozenset]]]
+    generators: dict[int, list[tuple[int, int]]]  # (mask, negbits) per i
     boundaries: dict[int, IntMatrix]
 
     def complex(self) -> IntegerChainComplex:
@@ -292,9 +349,11 @@ def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
 
     The generators are found by the walk cut at j (``_census_column``), so
     the cost follows the size of the column, not 2^c.  They stay (mask,
-    negatives) pairs in the order the walk meets them; the resolutions come
-    from a ``_Ctx`` of this call's own.
+    negbits) pairs in the order the walk meets them; the resolutions come
+    from a ``_Ctx`` of this call's own.  Non-planar PD codes are rejected
+    with ``NonPlanarDiagramError``.
     """
+    check_planar(diagram)
     ctx = _Ctx(diagram)
     return _column(ctx, j, _census_column(ctx, j))
 
@@ -302,7 +361,7 @@ def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
 def _histogram(ctx: _Ctx) -> Counter:
     """Number of masks per (sigma, circles): all that ranks and the bracket need."""
     c = ctx.c
-    return Counter((c - 2 * mask.bit_count(), res.circle_count) for mask, res in _walk(ctx))
+    return Counter((c - 2 * mask.bit_count(), len(circles)) for mask, circles in _walk(ctx))
 
 
 def _bracket(histogram: Counter) -> LaurentPoly:
@@ -364,22 +423,24 @@ def full_homology_table(
     One walk of the cube resolves each mask once and files every enhanced
     state under its (j, i) in the order the walk meets it; the same walk
     counts the masks per (sigma, circles), from which the Kauffman bracket
-    follows.
+    follows.  Non-planar PD codes are rejected with ``NonPlanarDiagramError``
+    before any other work.
     """
+    check_planar(diagram)
     _check_limit(diagram, limit)
     ctx = _Ctx(diagram)
     c = ctx.c
     columns: dict[int, dict[int, list]] = {}
     histogram: Counter = Counter()
-    for mask, res in _walk(ctx):
+    for mask, circles in _walk(ctx):
         sigma = c - 2 * mask.bit_count()
-        count = res.circle_count
+        count = len(circles)
         histogram[sigma, count] += 1
         for negatives in range(count + 1):
             j = sigma + 2 * (count - 2 * negatives)
-            bucket = columns.setdefault(j, {}).setdefault(sigma, [])
-            for combo in combinations(res.circles, negatives):
-                bucket.append((mask, frozenset(combo)))
+            columns.setdefault(j, {}).setdefault(sigma, []).extend(
+                _enhancements(mask, circles, negatives)
+            )
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
         groups = homology(_column(ctx, j, columns[j]).complex())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, InadequateDiagramError, State, mirror, resolve
+from .diagram import Diagram, InadequateDiagramError, State, check_planar, mirror, resolve
 from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
 from .homotopy import HomotopyType, homotopy_type, predicted_homology
@@ -117,8 +117,10 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
 
     A diagram that is only B-adequate is rejected unless ``auto_mirror`` is
     set, in which case the mirror image is analyzed and the report carries
-    the mirrored flag; framed gradings refer to the mirror.
+    the mirrored flag; framed gradings refer to the mirror.  A non-planar
+    PD code is rejected with ``NonPlanarDiagramError`` before any other work.
     """
+    check_planar(diagram)
     c = diagram.crossing_count
     graph = build_state_graph(diagram, State.all_a(c))
     a_ok = not graph.loop_edges()

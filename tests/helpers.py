@@ -6,7 +6,9 @@ composed permutation; the SNF oracle recovers invariant factors from gcds
 of k x k minors.  All are deliberately different algorithms from the ones
 inside the package, and each writes down the smoothing convention on its
 own.  The enhanced-state oracles resolve every state from scratch with
-``resolve``, never through the package's incremental resolution store.
+``resolve``, never through the package's incremental resolution store;
+the reference differential resolves with the union-find and writes the
+merge/split sign rules down on its own.
 """
 
 from __future__ import annotations
@@ -165,8 +167,11 @@ def bracket_oracle(diagram: Diagram) -> LaurentPoly:
 
 # --- enhanced-state oracles ---------------------------------------------------
 #
-# A generator is (mask, negatives), as in the package: bit x of mask set
-# means a B-label at crossing x, negatives the names of the negative circles.
+# A generator here is (mask, negatives): bit x of mask set means a B-label at
+# crossing x, negatives the frozenset of the names of the negative circles.
+# The package keeps negbits, an integer with bit 4x + slot set for the
+# negative circle named (x, slot); ``decode_generator`` turns one into the
+# other.
 
 
 def mask_state(c: int, mask: int) -> State:
@@ -200,6 +205,79 @@ def enhanced_census(diagram: Diagram) -> dict:
             bucket = census.setdefault((i, i + 2 * (len(circles) - 2 * negatives)), [])
             bucket.extend((mask, frozenset(combo)) for combo in combinations(circles, negatives))
     return census
+
+
+def decode_name(c: int, name: int):
+    """A package circle name, the arc end 4x + slot, as the pair (x, slot).
+
+    The crossingless unknot has no arc ends; its one circle is named 0 in
+    the package and ``FREE_LOOP`` in a ``Resolution``.
+    """
+    if c == 0:
+        if name != 0:
+            raise ValueError(f"the unknot has one circle, named 0, not {name}")
+        return FREE_LOOP
+    return divmod(name, 4)
+
+
+def decode_generator(c: int, generator) -> tuple:
+    """A package generator (mask, negbits) as (mask, frozenset of negative circle names)."""
+    mask, negbits = generator
+    names = [n for n in range(negbits.bit_length()) if negbits >> n & 1]
+    return mask, frozenset(decode_name(c, n) for n in names)
+
+
+# The signs a flip gives the circles it touches, from those of the circles
+# it consumes: #positive - #negative rises by one, so that j is kept.
+_MERGE = {(1, 1): (), (1, -1): (1,), (-1, 1): (1,), (-1, -1): (-1,)}
+_SPLIT = {1: ((1, 1),), -1: ((1, -1), (-1, 1))}
+
+
+def reference_differential(diagram: Diagram):
+    """The differential as a function: generator (mask, negatives) -> {target: coefficient}.
+
+    Generators carry circle names, as ``enhanced_census``.  Circles come
+    from ``union_find_resolution``, one per mask, kept for the returned
+    function's life.  Flipping crossing x from A to B merges the circles at
+    its slots 0 and 2 or splits the one circle there; untouched circles
+    keep their signs, the touched ones follow ``_MERGE`` and ``_SPLIT``,
+    and the incidence is (-1)^(#B-labels after x).
+    """
+    c = diagram.crossing_count
+    resolutions: dict = {}
+
+    def resolution(mask):
+        if mask not in resolutions:
+            resolutions[mask] = union_find_resolution(diagram, mask_state(c, mask))
+        return resolutions[mask]
+
+    def differential(generator) -> dict:
+        mask, negatives = generator
+        source = resolution(mask)
+        image: dict = {}
+        for x in range(c):
+            if mask >> x & 1:
+                continue
+            target = mask | 1 << x
+            incidence = (-1) ** sum(mask >> y & 1 for y in range(x + 1, c))
+            s0, s2 = source.end_circle[(x, 0)], source.end_circle[(x, 2)]
+            t0, t2 = resolution(target).end_circle[(x, 0)], resolution(target).end_circle[(x, 2)]
+            sign = {name: -1 if name in negatives else 1 for name in (s0, s2)}
+            if s0 != s2:
+                if t0 != t2:
+                    raise ValueError(f"flip of crossing {x} neither merges nor splits")
+                touched = [{t0: s} for s in _MERGE[(sign[s0], sign[s2])]]
+            else:
+                if t0 == t2:
+                    raise ValueError(f"flip of crossing {x} neither merges nor splits")
+                touched = [{t0: a, t2: b} for a, b in _SPLIT[sign[s0]]]
+            kept = negatives - {s0, s2}
+            for signs in touched:
+                key = (target, kept | {name for name, s in signs.items() if s < 0})
+                image[key] = image.get(key, 0) + incidence
+        return {key: v for key, v in image.items() if v}
+
+    return differential
 
 
 def almost_extreme_generators(diagram: Diagram) -> dict:

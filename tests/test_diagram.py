@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from almax import diagram as diagram_module
 from almax.diagram import (
     ArcOccurrenceError,
     Diagram,
     DiagramError,
     DisconnectedDiagramError,
+    NonPlanarDiagramError,
     PDSyntaxError,
     State,
     add_positive_kink,
+    check_planar,
     diagram_from_json_dict,
     diagram_to_json_dict,
     mirror,
@@ -20,7 +23,7 @@ from almax.diagram import (
     to_pd_text,
 )
 from almax.state_graph import build_state_graph
-from helpers import face_count, trace_circle_count
+from helpers import face_count, random_pd_codes, trace_circle_count
 
 from conftest import CORPUS, LEFT_TREFOIL
 
@@ -165,6 +168,21 @@ class TestPlanarity:
         kinked = add_positive_kink(add_positive_kink(left_trefoil, 1), 4)
         for d in (mirror(left_trefoil), kinked, mirror(kinked)):
             assert face_count(d) == d.crossing_count + 2
+
+    def test_library_check_matches_face_count_oracle(self, corpus, unknot):
+        codes = list(corpus.values()) + [unknot] + random_pd_codes(200, seed=5)
+        non_planar = 0
+        for d in codes:
+            faces = face_count(d)
+            assert diagram_module._face_count(d) == faces, to_pd_text(d)
+            if faces == d.crossing_count + 2:
+                check_planar(d)
+            else:
+                non_planar += 1
+                with pytest.raises(NonPlanarDiagramError) as err:
+                    check_planar(d)
+                assert f"{faces} faces" in str(err.value)
+        assert non_planar == 139
 
 
 class TestMirror:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from almax import diagram as diagram_module
 from almax import khovanov
 from almax.diagram import (
     DiagramError,
@@ -12,6 +13,7 @@ from almax.diagram import (
     parse_pd,
     reorder_crossings,
     resolve,
+    step_table,
 )
 from almax.homology import AbelianGroup
 from almax.khovanov import (
@@ -33,12 +35,16 @@ from helpers import (
     almost_extreme_generators,
     bracket_oracle,
     braid_pd,
+    decode_generator,
+    decode_name,
     enhanced_census,
     face_count,
     gradings,
     mask_state,
     random_pd_codes,
+    reference_differential,
     sign_map,
+    torus_two_strand,
     union_find_resolution,
 )
 
@@ -65,41 +71,45 @@ def random_braid_closures(count, seed):
     return found
 
 
-def entries(matrix, sources, targets):
-    """A boundary as {(source generator, target generator): entry}, free of basis order."""
-    return {
-        (sources[col], targets[row]): v
-        for row, cols in matrix.data.items()
-        for col, v in cols.items()
-    }
+def images(matrix, sources, targets):
+    """A boundary as {source generator: {target generator: entry}}, free of basis order."""
+    out = {}
+    for row, cols in matrix.data.items():
+        for col, v in cols.items():
+            out.setdefault(sources[col], {})[targets[row]] = v
+    return out
+
+
+def all_js(d):
+    """Every quantum grading of the diagram, the gaps and one odd j beyond."""
+    js = [j for (_i, j) in generator_rank_table(d)]
+    return list(range(min(js) - 2, max(js) + 3, 2)) + [max(js) + 1]
 
 
 def same_columns(d, js):
-    """``build_column`` against the full census filtered by j, at each j of ``js``.
+    """``build_column`` against the full census and the reference differential, at each j.
 
-    The census is enumerated once for the diagram.  Its generators go
-    through ``_boundary`` on a fresh resolution store, so the comparison
-    checks the pruned walk, not the differential's formula.
+    The census is enumerated once for the diagram, with ``resolve`` on
+    every mask; the reference differential applies the merge/split sign
+    rules to union-find circles.  Neither shares code with the pruned walk
+    or ``_boundary``, and the two sides meet as maps between decoded
+    generators, so the order of either basis does not matter.
     """
     census = enhanced_census(d)
-    ctx = khovanov._Ctx(d)
+    differential = reference_differential(d)
+    c = d.crossing_count
     for j in js:
         fast = build_column(d, j)
-        per_i = {i: gens for (i, jj), gens in census.items() if jj == j}
-        assert {i: Counter(g) for i, g in fast.generators.items()} == {
+        gens = {i: [decode_generator(c, g) for g in gs] for i, gs in fast.generators.items()}
+        per_i = {i: gs for (i, jj), gs in census.items() if jj == j}
+        assert {i: Counter(g) for i, g in gens.items()} == {
             i: Counter(g) for i, g in per_i.items()
         }, j
-        want = {
-            i: entries(khovanov._boundary(ctx, gens, per_i[i - 2]), gens, per_i[i - 2])
-            if per_i.get(i - 2)
-            else {}
-            for i, gens in per_i.items()
-        }
-        got = {
-            i: entries(m, fast.generators[i], fast.generators.get(i - 2, []))
-            for i, m in fast.boundaries.items()
-        }
-        assert got == want, j
+        assert set(fast.boundaries) == set(gens), j
+        for i, matrix in fast.boundaries.items():
+            assert (matrix.rows, matrix.cols) == (len(gens.get(i - 2, [])), len(gens[i])), (j, i)
+            want = {g: image for g in gens[i] if (image := differential(g))}
+            assert images(matrix, gens[i], gens.get(i - 2, [])) == want, (j, i)
 
 
 class TestGradings:
@@ -156,10 +166,8 @@ class TestBuildColumn:
         assert {i: len(g) for i, g in col.generators.items()} == {2: 2, 0: 2, -2: 1}
 
     def test_brute_force_oracle_agrees(self, corpus):
-        for name in ("left_trefoil", "figure_eight", "positive_hopf", "torus_2_5"):
-            d = corpus[name]
-            j_max, j_almax = j_extremes(d)
-            same_columns(d, (j_max, j_almax, j_almax - 4))
+        for d in corpus.values():
+            same_columns(d, all_js(d))
 
     def test_column_complexes_compose_to_zero(self, corpus):
         rng = random.Random(99)
@@ -178,7 +186,7 @@ class TestBuildColumn:
         col = build_column(figure_eight, j_almax)
         for i, gens in col.generators.items():
             for generator in gens:
-                assert gradings(figure_eight, generator) == (i, j_almax)
+                assert gradings(figure_eight, decode_generator(figure_eight.crossing_count, generator)) == (i, j_almax)
 
 
 class TestPrunedColumnWalk:
@@ -187,8 +195,7 @@ class TestPrunedColumnWalk:
         for d in random_braid_closures(40, seed=3):
             a_ok, b_ok = is_a_adequate(d), is_b_adequate(d)
             kinds["A" if a_ok else "B only" if b_ok else "inadequate"] += 1
-            js = [j for (_i, j) in generator_rank_table(d)]
-            same_columns(d, list(range(min(js) - 2, max(js) + 3, 2)) + [max(js) + 1])
+            same_columns(d, all_js(d))
         # the walk never relies on adequacy: every kind of input is covered
         assert min(kinds[k] for k in ("A", "B only", "inadequate")) >= 3, kinds
 
@@ -206,23 +213,32 @@ class TestPrunedColumnWalk:
         column_size = len(graph.vertices) + sum(2**size - 1 for size in classes.values())
 
         calls = Counter()
-        real_res, real_resolve = khovanov._Ctx.res, khovanov.resolve
+        requested, flipped = set(), []
+        real_res, real_flip, real_table = khovanov._Ctx.res, khovanov._Ctx._flip, step_table
 
         def counting_res(ctx, mask):
             calls["res"] += 1
+            requested.add(mask)
             return real_res(ctx, mask)
 
-        def counting_resolve(*args):
-            calls["resolve"] += 1
-            return real_resolve(*args)
+        def counting_flip(ctx, parent, mask, x):
+            flipped.append(mask)
+            return real_flip(ctx, parent, mask, x)
+
+        def counting_table(*args):
+            calls["step_table"] += 1
+            return real_table(*args)
 
         monkeypatch.setattr(khovanov._Ctx, "res", counting_res)
-        monkeypatch.setattr(khovanov, "resolve", counting_resolve)
+        monkeypatch.setattr(khovanov._Ctx, "_flip", counting_flip)
+        monkeypatch.setattr(khovanov, "step_table", counting_table)
+        monkeypatch.setattr(diagram_module, "step_table", counting_table)
         _, j_almax = j_extremes(d)
         calls.clear()
         column = build_column(d, j_almax)
         assert sum(len(g) for g in column.generators.values()) == column_size == 23
-        assert calls["resolve"] == 1  # only all-A; every other mask is derived
+        assert calls["step_table"] == 1  # one table, and mask 0 traced over it
+        assert sorted(flipped) == sorted(requested - {0})  # every other mask derived once
         assert calls["res"] < 600 < 2**c
 
 
@@ -246,9 +262,12 @@ class TestResolutionStore:
         rng.shuffle(masks)  # parents are not always resolved first
         for mask in masks:
             want = union_find_resolution(d, mask_state(c, mask))
-            for got in (resolve(d, mask_state(c, mask)), ctx.res(mask)):
-                assert got.circles == want.circles
-                assert got.end_circle == want.end_circle  # and so the chords
+            got = resolve(d, mask_state(c, mask))
+            assert got.circles == want.circles
+            assert got.end_circle == want.end_circle  # and so the chords
+            circles, end = ctx.res(mask)
+            assert tuple(decode_name(c, name) for name in circles) == want.circles
+            assert {divmod(e, 4): divmod(name, 4) for e, name in enumerate(end)} == want.end_circle
         return ctx
 
     def test_derived_resolutions_match_union_find(self, corpus, unknot):
@@ -266,7 +285,7 @@ class TestResolutionStore:
             ctx = self.assert_match_union_find(d, rng)
             for mask in range(1, 1 << d.crossing_count):
                 parent = mask ^ (1 << (mask.bit_length() - 1))
-                stays_one += ctx.res(mask).circle_count == ctx.res(parent).circle_count
+                stays_one += len(ctx.res(mask)[0]) == len(ctx.res(parent)[0])
         # a flip on non-planar data can keep one circle one: that branch of _flip runs
         assert len(codes) >= 250 and stays_one >= 800, (len(codes), stays_one)
 
@@ -412,6 +431,26 @@ class TestTables:
                 order = list(range(d.crossing_count))
                 rng.shuffle(order)
                 assert full_homology_table(reorder_crossings(d, order)) == reference
+
+    def test_mirror_duality(self, corpus, full_tables):
+        # swapping A and B reverses the cube, so the mirror's complex is the
+        # dual one: over Z, ranks reflect through (0, 0) and torsion also
+        # moves down one step of i; this sees incidence signs and torsion
+        tables = [(full_tables[name], d) for name, d in corpus.items()]
+        t25 = torus_two_strand(5)  # T(2,5) from a rotation system, another code
+        tables.append((full_homology_table(t25)[0], t25))
+        torsion_groups = 0
+        for table, d in tables:
+            dual, _ = full_homology_table(mirror(d))
+            assert {(i, j): g.free_rank for (i, j), g in table.items() if g.free_rank} == {
+                (-i, -j): g.free_rank for (i, j), g in dual.items() if g.free_rank
+            }, d
+            torsion = {(i, j): g.torsion for (i, j), g in table.items() if g.torsion}
+            assert torsion == {
+                (-i - 2, -j): g.torsion for (i, j), g in dual.items() if g.torsion
+            }, d
+            torsion_groups += len(torsion)
+        assert torsion_groups == 26
 
     def test_ri_shift_small(self, left_trefoil):
         reference, _ = full_homology_table(left_trefoil)

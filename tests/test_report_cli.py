@@ -10,13 +10,13 @@ from almax import diagram as diagram_module
 from almax import cli as cli_module
 from almax import khovanov, presimplicial, report as report_module, state_graph
 from almax.cli import main
-from almax.diagram import InadequateDiagramError, parse_pd
+from almax.diagram import InadequateDiagramError, NonPlanarDiagramError, parse_pd, to_pd_text
 from almax.homology import AbelianGroup
 from almax.presimplicial import pps_from_json
 from almax.report import analyze_diagram, format_homology_table
 
 from conftest import B_ADEQUATE_ONLY, FIGURE_EIGHT, KNOT_8_20, LEFT_TREFOIL, RIGHT_TREFOIL
-from helpers import MALFORMED_PPS
+from helpers import MALFORMED_PPS, face_count, random_pd_codes
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,8 +41,9 @@ class TestAnalyzeDiagram:
         assert report.tables["direct"] == {(0, -2): AbelianGroup(1)}
         assert report.homotopy.render() == "S^-1"
 
-    def test_adequate_input_resolves_at_most_four_states(self, monkeypatch, corpus):
-        # all-A graph, the mirror's all-A (B-adequacy), all-B, and the direct route's mask 0
+    def test_adequate_input_resolves_at_most_three_states(self, monkeypatch, corpus):
+        # all-A graph, the mirror's all-A (B-adequacy) and all-B; the direct
+        # route traces its mask 0 over its own step table
         calls = Counter()
         real_resolve = diagram_module.resolve
 
@@ -56,7 +57,7 @@ class TestAnalyzeDiagram:
             calls.clear()
             report = analyze_diagram(corpus[name])
             assert report.agreement, name
-            assert calls["resolve"] <= 4, name
+            assert calls["resolve"] <= 3, name
 
     def test_whole_corpus_agrees(self, corpus):
         for name, d in corpus.items():
@@ -94,7 +95,7 @@ class TestAnalyzeDiagram:
 
     def test_not_semiadequate_rejected(self):
         # a positive and a negative kink on one circle: inadequate on both sides
-        d = parse_pd("X(1,2,3,3);X(2,4,1,4)")
+        d = parse_pd("X(1,2,3,3);X(1,4,4,2)")
         with pytest.raises(InadequateDiagramError) as err:
             analyze_diagram(d)
         assert "not semiadequate" in str(err.value)
@@ -142,6 +143,50 @@ class TestAnalyzeDiagram:
         assert doc["homology"]["formula"] == {"1,5": "Z/2"}
         assert doc["homology"]["cellular"] == doc["homology"]["direct"]
         assert json.dumps(doc)  # serializable
+
+
+def non_planar_codes():
+    """The 139 non-planar codes among ``random_pd_codes(200, seed=5)``."""
+    codes = [d for d in random_pd_codes(200, seed=5) if face_count(d) != d.crossing_count + 2]
+    assert len(codes) == 139
+    return codes
+
+
+class TestNonPlanar:
+    def test_library_rejects_before_any_other_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done on a non-planar code")
+
+        for module in (diagram_module, khovanov, report_module, state_graph):
+            monkeypatch.setattr(module, "resolve", forbidden)
+        monkeypatch.setattr(report_module, "build_state_graph", forbidden)
+        monkeypatch.setattr(khovanov, "_Ctx", forbidden)
+        for d in non_planar_codes():
+            for call in (
+                lambda: analyze_diagram(d),
+                lambda: analyze_diagram(d, auto_mirror=True),
+                lambda: khovanov.full_homology_table(d, limit=0),  # before the size bound too
+                lambda: khovanov.build_column(d, 0),
+            ):
+                with pytest.raises(NonPlanarDiagramError):
+                    call()
+
+    def test_cli_exits_2_with_one_error_line(self, capsys):
+        # at the parent of this check, table raised a KeyError traceback on
+        # 100 of these codes and analyze exited 3 (cross-check failure) on 5
+        for d in non_planar_codes():
+            pd = to_pd_text(d)
+            for argv in (
+                ["analyze", pd],
+                ["analyze", pd, "--auto-mirror", "--format", "json"],
+                ["table", pd],
+                ["table", pd, "--format", "json", "--writhe", "0"],
+            ):
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err.startswith("error: PD code is not planar"), argv
+                assert captured.err.count("\n") == 1, argv
 
 
 class TestFormatTable:
