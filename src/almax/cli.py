@@ -8,6 +8,7 @@ axiom-violating PPS, 3 cross-check failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -49,10 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_diagram(value: str):
-    text = value
-    path = Path(value)
-    if path.is_file():
-        text = path.read_text()
+    try:
+        text = Path(value).read_text() if Path(value).is_file() else value
+    except OSError as exc:  # a value too long to be a file name is PD/JSON text
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        text = value
     stripped = text.strip()
     if stripped.startswith("{"):
         try:

@@ -7,6 +7,8 @@ It is written down once, in ``step_table``, and every circle of the
 package is found by ``trace_circle`` walking that table.  Inside, an arc
 end (x, slot) is the integer 4x + slot, which keeps the order of the
 pairs; ``resolve`` turns them back into pairs for its ``Resolution``.
+Each ``Diagram`` pairs its arc ends once, when it is made; the validity
+checks, ``step_table`` and ``check_planar`` all read that partner list.
 With this convention the standard left trefoil code
 ``X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)`` has an all-A resolution with three
 circles and a triangular state graph, which is the calibration test for
@@ -62,6 +64,8 @@ class Diagram:
 
     crossings: tuple[tuple[int, int, int, int], ...]
     free_loops: int = 0
+    # the other end of each arc, indexed by the arc end 4 * crossing + slot
+    _partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         crossings = tuple(tuple(int(e) for e in q) for q in self.crossings)
@@ -69,11 +73,11 @@ class Diagram:
         for q in crossings:
             if len(q) != 4 or any(e < 0 for e in q):
                 raise DiagramError(f"crossing must be four non-negative arc ids, got {q!r}")
-        _check_occurrences(crossings)
+        object.__setattr__(self, "_partner", _pair_arc_ends(crossings))
         if crossings:
             if self.free_loops != 0:
                 raise DiagramError("free_loops must be 0 when the diagram has crossings")
-            _check_connected(crossings)
+            _check_connected(self._partner)
         elif self.free_loops != 1:
             raise DiagramError("a crossingless diagram must be a single free loop (the unknot)")
 
@@ -86,38 +90,40 @@ class Diagram:
         return tuple(sorted({e for q in self.crossings for e in q}))
 
 
-def _arc_occurrences(crossings) -> dict[int, list[ArcEnd]]:
-    occ: dict[int, list[ArcEnd]] = {}
+def _arc_occurrences(crossings) -> dict[int, list[int]]:
+    """The arc ends 4 * crossing + slot of each arc id, in order of first appearance."""
+    occ: dict[int, list[int]] = {}
     for ci, q in enumerate(crossings):
         for slot, arc in enumerate(q):
-            occ.setdefault(arc, []).append((ci, slot))
+            occ.setdefault(arc, []).append(4 * ci + slot)
     return occ
 
 
-def _check_occurrences(crossings) -> None:
+def _pair_arc_ends(crossings) -> tuple[int, ...]:
+    """The other end of each arc, indexed by arc end; every arc id must occur twice."""
+    partner = [0] * (4 * len(crossings))
     for arc, ends in _arc_occurrences(crossings).items():
         if len(ends) != 2:
             raise ArcOccurrenceError(
                 f"arc {arc} occurs {len(ends)} time(s); every arc id must occur exactly twice"
             )
+        a, b = ends
+        partner[a], partner[b] = b, a
+    return tuple(partner)
 
 
-def _check_connected(crossings) -> None:
-    arc_to_crossings: dict[int, set[int]] = {}
-    for ci, q in enumerate(crossings):
-        for arc in q:
-            arc_to_crossings.setdefault(arc, set()).add(ci)
+def _check_connected(partner) -> None:
+    """Raise unless every crossing is reached from crossing 0 along arcs."""
     seen = {0}
     stack = [0]
     while stack:
-        ci = stack.pop()
-        for arc in crossings[ci]:
-            for cj in arc_to_crossings[arc]:
-                if cj not in seen:
-                    seen.add(cj)
-                    stack.append(cj)
-    if len(seen) != len(crossings):
-        missing = sorted(set(range(len(crossings))) - seen)
+        x = stack.pop()
+        for end in partner[4 * x: 4 * x + 4]:
+            if end >> 2 not in seen:
+                seen.add(end >> 2)
+                stack.append(end >> 2)
+    if len(seen) != len(partner) // 4:
+        missing = sorted(set(range(len(partner) // 4)) - seen)
         raise DisconnectedDiagramError(
             f"diagram is disconnected (crossings {missing} unreachable from crossing 0)"
         )
@@ -179,15 +185,6 @@ _A_JOINS = (1, 0, 3, 2)
 _B_JOINS = (3, 2, 1, 0)
 
 
-def _arc_partner(diagram: Diagram) -> list[int]:
-    """The other end of each arc, indexed by the arc end e = 4 * crossing + slot."""
-    partner = [0] * (4 * diagram.crossing_count)
-    for first, second in _arc_occurrences(diagram.crossings).values():
-        a, b = 4 * first[0] + first[1], 4 * second[0] + second[1]
-        partner[a], partner[b] = b, a
-    return partner
-
-
 def step_table(diagram: Diagram) -> list:
     """Per arc end e = 4x + slot and label (0 = A, 1 = B): (the end joined, the next end).
 
@@ -196,7 +193,7 @@ def step_table(diagram: Diagram) -> list:
     integer encoding keeps the order of (x, slot), so the least end of a
     circle, which names it, is the same either way.
     """
-    partner = _arc_partner(diagram)
+    partner = diagram._partner
     steps = []
     for e in range(len(partner)):
         base = e & ~3
@@ -242,7 +239,7 @@ def _face_count(diagram: Diagram) -> int:
     """
     if diagram.crossing_count == 0:
         return 2
-    partner = _arc_partner(diagram)
+    partner = diagram._partner
     seen = [False] * len(partner)
     faces = 0
     for start in range(len(partner)):
@@ -261,9 +258,10 @@ def check_planar(diagram: Diagram) -> None:
     """Raise ``NonPlanarDiagramError`` unless the PD code is a planar diagram.
 
     With c crossings and 2c arcs, Euler's formula V - E + F = 2 says the
-    code is planar iff its rotation system has c + 2 faces.  A non-planar
-    (virtual) code has well-defined circles, but a flip can then leave one
-    circle one, which the Khovanov differential does not cover.
+    code is planar iff its rotation system, read off the diagram's arc
+    pairing, has c + 2 faces.  A non-planar (virtual) code has well-defined
+    circles, but a flip can then leave one circle one, which the Khovanov
+    differential does not cover.
     """
     c = diagram.crossing_count
     faces = _face_count(diagram)
@@ -277,11 +275,11 @@ def check_planar(diagram: Diagram) -> None:
 def resolve(diagram: Diagram, state: State) -> Resolution:
     """Smooth every crossing of ``diagram`` according to ``state``.
 
-    The circles come from ``trace_state`` over a fresh ``step_table``, and
-    arc ends are turned back into (crossing, slot) pairs only here.
-    Nothing is cached: callers that walk many states of one diagram derive
-    them incrementally with the same table and ``trace_circle`` instead
-    (see ``khovanov._Ctx``).
+    The circles come from ``trace_state`` over a fresh ``step_table`` (the
+    arc pairing it reads is the diagram's own), and arc ends are turned
+    back into (crossing, slot) pairs only here.  Callers that walk many
+    states of one diagram derive them incrementally with one table and
+    ``trace_circle`` instead (see ``khovanov._Ctx``).
     """
     c = diagram.crossing_count
     if len(state.labels) != c:
@@ -322,10 +320,10 @@ def add_positive_kink(diagram: Diagram, arc: int) -> Diagram:
         raise DiagramError("cannot kink a crossingless diagram (no arcs)")
     top = max(diagram.arc_ids())
     a_first, a_second, fresh = top + 1, top + 2, top + 3
-    first, second = sorted(occ)
+    first, second = occ
     crossings = [list(q) for q in diagram.crossings]
-    crossings[first[0]][first[1]] = a_first
-    crossings[second[0]][second[1]] = a_second
+    crossings[first >> 2][first & 3] = a_first
+    crossings[second >> 2][second & 3] = a_second
     crossings.append([a_first, a_second, fresh, fresh])
     return Diagram(tuple(tuple(q) for q in crossings), 0)
 

@@ -54,9 +54,6 @@ class AbelianGroup:
         return self.render()
 
 
-TRIVIAL_GROUP = AbelianGroup()
-
-
 class IntMatrix:
     """Sparse integer matrix (dict-of-rows), sized rows x cols."""
 

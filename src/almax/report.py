@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, InadequateDiagramError, State, check_planar, mirror, resolve
+from .diagram import Diagram, InadequateDiagramError, State, check_planar, mirror
 from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
 from .homotopy import HomotopyType, homotopy_type, predicted_homology
@@ -21,7 +21,6 @@ from .state_graph import (
     build_state_graph,
     cyclomatic_number,
     graph_to_json_dict,
-    is_b_adequate,
     is_bipartite,
     simple_reduction,
 )
@@ -122,16 +121,18 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     """
     check_planar(diagram)
     c = diagram.crossing_count
+    image = mirror(diagram)
     graph = build_state_graph(diagram, State.all_a(c))
+    graph_b = build_state_graph(image, State.all_a(c))  # circles of the all-B state
     a_ok = not graph.loop_edges()
-    b_ok = is_b_adequate(diagram)
+    b_ok = not graph_b.loop_edges()
     mirrored = False
     if a_ok:
         target = diagram
     elif b_ok and auto_mirror:
-        target = mirror(diagram)
+        target = image
         mirrored = True
-        graph = build_state_graph(target, State.all_a(c))
+        graph, graph_b = graph_b, graph
     else:
         loops = list(graph.loop_edges())
         detail = f"chords at crossings {loops} are loops in the all-A state graph"
@@ -143,7 +144,6 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         raise InadequateDiagramError(f"diagram is not semiadequate ({detail})")
 
     circles_all_a = len(graph.vertices)
-    res_b = resolve(target, State.all_b(c))
     p1 = cyclomatic_number(simple_reduction(graph))
     bipartite = is_bipartite(graph)
     j_max = c + 2 * circles_all_a
@@ -167,7 +167,7 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         b_adequate=b_ok,
         crossing_count=c,
         circles_all_a=circles_all_a,
-        circles_all_b=res_b.circle_count,
+        circles_all_b=len(graph_b.vertices),
         graph=graph,
         vertex_count=len(graph.vertices),
         p1=p1,

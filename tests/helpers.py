@@ -8,7 +8,9 @@ inside the package, and each writes down the smoothing convention on its
 own.  The enhanced-state oracles resolve every state from scratch with
 ``resolve``, never through the package's incremental resolution store;
 the reference differential resolves with the union-find and writes the
-merge/split sign rules down on its own.
+merge/split sign rules down on its own.  ``push_arc_over`` is a
+Reidemeister II move across a face traced as in ``face_count``, for
+invariance checks of the full table.
 """
 
 from __future__ import annotations
@@ -107,28 +109,77 @@ def trace_circle_count(diagram: Diagram, state: State) -> int:
     return cycles // 2
 
 
-def face_count(diagram: Diagram) -> int:
+def faces(diagram: Diagram) -> list[list]:
     """Faces of the PD rotation system: cycles of dart -> arc partner -> next slot.
 
     A dart is an arc end (crossing, slot); the slots of a crossing are in
-    counterclockwise order.  With V = c crossings and E = 2c arcs, Euler's
-    formula V - E + F = 2 says the diagram is planar iff F = c + 2.
+    counterclockwise order.  Each face is the list of darts it leaves
+    along its boundary arcs, and the walk keeps the face on its right.
     """
-    if diagram.crossing_count == 0:
-        return 2
     partner = arc_partner(diagram)
     seen = set()
-    faces = 0
+    found = []
     for start in partner:
         if start in seen:
             continue
-        faces += 1
+        face = []
         cur = start
         while cur not in seen:
             seen.add(cur)
+            face.append(cur)
             ci, slot = partner[cur]
             cur = (ci, (slot + 1) % 4)
-    return faces
+        found.append(face)
+    return found
+
+
+def face_count(diagram: Diagram) -> int:
+    """Number of ``faces``; the unknot has two.
+
+    With V = c crossings and E = 2c arcs, Euler's formula V - E + F = 2
+    says the diagram is planar iff F = c + 2.
+    """
+    if diagram.crossing_count == 0:
+        return 2
+    return len(faces(diagram))
+
+
+def push_arc_over(diagram: Diagram, over, under) -> Diagram:
+    """Reidemeister II: push the arc leaving dart ``over`` across a face and over
+    the arc leaving dart ``under``.
+
+    Both darts must start boundary arcs of one face of ``faces``, with
+    different arc ids.  Walking that face, the arc u -> v (``over``) and
+    the arc w -> z (``under``) both have the face on their right.  A finger
+    of u -> v crosses the face and passes over w -> z twice: the new
+    crossing X1 sits nearer u and z, X2 nearer v and w.  u -> v becomes
+    a1 X1 a2 X2 a3 and w -> z becomes b1 X2 b2 X1 b3, and the new
+    crossings list their arcs counterclockwise from the under-strand.
+    """
+    partner = arc_partner(diagram)
+    (u, v), (w, z) = (over, partner[over]), (under, partner[under])
+    quads = [list(q) for q in diagram.crossings]
+    a1, b1 = quads[u[0]][u[1]], quads[w[0]][w[1]]
+    if a1 == b1:
+        raise ValueError("an arc cannot be pushed over itself")
+    top = max(diagram.arc_ids())
+    a2, a3, b2, b3 = top + 1, top + 2, top + 3, top + 4
+    quads[v[0]][v[1]] = a3
+    quads[z[0]][z[1]] = b3
+    quads.append([b2, a1, b3, a2])  # X1
+    quads.append([b1, a3, b2, a2])  # X2
+    return Diagram(tuple(map(tuple, quads)))
+
+
+def random_reidemeister_two(diagram: Diagram, rng: random.Random) -> Diagram:
+    """``push_arc_over`` on two arcs of one face, all chosen by ``rng``."""
+    quads = diagram.crossings
+    options = []
+    for face in faces(diagram):
+        for over, under in permutations(face, 2):
+            if quads[over[0]][over[1]] != quads[under[0]][under[1]]:
+                options.append((over, under))
+    return push_arc_over(diagram, *rng.choice(options))
 
 
 def random_pd_codes(count: int, seed: int, max_crossings: int = 4):

@@ -23,7 +23,7 @@ from almax.diagram import (
     to_pd_text,
 )
 from almax.state_graph import build_state_graph
-from helpers import face_count, random_pd_codes, trace_circle_count
+from helpers import arc_partner, face_count, random_pd_codes, trace_circle_count
 
 from conftest import CORPUS, LEFT_TREFOIL
 
@@ -81,6 +81,25 @@ class TestParse:
             Diagram((), free_loops=0)
         with pytest.raises(DiagramError):
             Diagram(((1, 1, 2, 2),), free_loops=1)
+
+    def test_errors_name_the_first_offender(self):
+        with pytest.raises(ArcOccurrenceError, match=r"^arc 1 occurs 1 time\(s\); every arc"):
+            parse_pd("X(1,2,3,4);X(4,3,2,5)")
+        with pytest.raises(DisconnectedDiagramError) as err:
+            parse_pd("X(1,1,2,2);X(3,4,4,3);X(5,5,6,6)")
+        assert str(err.value) == (
+            "diagram is disconnected (crossings [1, 2] unreachable from crossing 0)"
+        )
+
+    def test_arc_pairing_is_stored_once_and_kept_private(self, corpus):
+        for d in corpus.values():
+            oracle = arc_partner(d)
+            assert [divmod(e, 4) for e in d._partner] == [
+                oracle[divmod(e, 4)] for e in range(4 * d.crossing_count)
+            ]
+            twin = Diagram(d.crossings)
+            assert twin == d and hash(twin) == hash(d)
+            assert "_partner" not in repr(d)
 
 
 class TestSerialization:

@@ -9,11 +9,13 @@ from almax.diagram import (
     DiagramError,
     State,
     add_positive_kink,
+    check_planar,
     mirror,
     parse_pd,
     reorder_crossings,
     resolve,
     step_table,
+    to_pd_text,
 )
 from almax.homology import AbelianGroup
 from almax.khovanov import (
@@ -42,6 +44,7 @@ from helpers import (
     gradings,
     mask_state,
     random_pd_codes,
+    random_reidemeister_two,
     reference_differential,
     sign_map,
     torus_two_strand,
@@ -456,6 +459,29 @@ class TestTables:
         reference, _ = full_homology_table(left_trefoil)
         kinked = add_positive_kink(left_trefoil, 2)
         assert full_homology_table(kinked)[0] == shift_table(reference, 1, 3)
+
+    def test_reidemeister_two_keeps_the_table(self, corpus):
+        # a finger of one arc pushed over another across a face adds a
+        # bigon; the framed table, torsion included, does not move
+        diagrams = [d for d in corpus.values() if d.crossing_count <= 7]
+        diagrams += [d for d in random_braid_closures(12, seed=8) if d.crossing_count <= 6]
+        assert len(diagrams) >= 15
+        rng = random.Random(11)
+        for d in diagrams:
+            reference, _ = full_homology_table(d)
+            for _ in range(2):
+                moved = random_reidemeister_two(d, rng)
+                check_planar(moved)
+                assert full_homology_table(moved)[0] == reference, to_pd_text(moved)
+
+    def test_reidemeister_two_hand_check(self):
+        # two circles, one pushed over the other: the two-component unlink
+        table, _ = full_homology_table(parse_pd("X(1,2,3,4);X(1,4,3,2)"))
+        assert table == {
+            (0, -4): AbelianGroup(1),
+            (0, 0): AbelianGroup(2),
+            (0, 4): AbelianGroup(1),
+        }
 
 
 class TestLaurentPoly:

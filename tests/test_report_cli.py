@@ -10,15 +10,39 @@ from almax import diagram as diagram_module
 from almax import cli as cli_module
 from almax import khovanov, presimplicial, report as report_module, state_graph
 from almax.cli import main
-from almax.diagram import InadequateDiagramError, NonPlanarDiagramError, parse_pd, to_pd_text
+from almax.diagram import (
+    InadequateDiagramError,
+    NonPlanarDiagramError,
+    add_positive_kink,
+    parse_pd,
+    to_pd_text,
+)
 from almax.homology import AbelianGroup
 from almax.presimplicial import pps_from_json
 from almax.report import analyze_diagram, format_homology_table
 
-from conftest import B_ADEQUATE_ONLY, FIGURE_EIGHT, KNOT_8_20, LEFT_TREFOIL, RIGHT_TREFOIL
+from conftest import (
+    B_ADEQUATE_ONLY,
+    CORPUS,
+    FIGURE_EIGHT,
+    KNOT_8_20,
+    KNOT_10_44,
+    LEFT_TREFOIL,
+    RIGHT_TREFOIL,
+)
 from helpers import MALFORMED_PPS, face_count, random_pd_codes
 
 DATA = Path(__file__).parent / "data"
+
+
+def long_inline_code() -> str:
+    """10_44 with 12 kinks (c = 22): a PD code too long to be a file name."""
+    d = parse_pd(KNOT_10_44)
+    for arc in range(3, 15):
+        d = add_positive_kink(d, arc)
+    code = to_pd_text(d)
+    assert len(code) > 255
+    return code
 
 
 class TestAnalyzeDiagram:
@@ -41,23 +65,40 @@ class TestAnalyzeDiagram:
         assert report.tables["direct"] == {(0, -2): AbelianGroup(1)}
         assert report.homotopy.render() == "S^-1"
 
-    def test_adequate_input_resolves_at_most_three_states(self, monkeypatch, corpus):
-        # all-A graph, the mirror's all-A (B-adequacy) and all-B; the direct
-        # route traces its mask 0 over its own step table
+    def test_one_op_resolves_two_states_and_builds_one_mirror(self, monkeypatch):
+        # per op: the all-A states of the diagram and of its one mirror, and
+        # one arc-occurrence map for each of those two diagrams (parsing
+        # included); the direct route traces its mask 0 over its own step table
         calls = Counter()
-        real_resolve = diagram_module.resolve
 
-        def counting_resolve(*args):
-            calls["resolve"] += 1
-            return real_resolve(*args)
+        def counting(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
 
-        for module in (diagram_module, khovanov, report_module, state_graph):
-            monkeypatch.setattr(module, "resolve", counting_resolve)
-        for name in ("left_trefoil", "figure_eight", "8_20", "10_44"):
+        resolve_spy = counting("resolve", diagram_module.resolve)
+        mirror_spy = counting("mirror", diagram_module.mirror)
+        for module in (diagram_module, khovanov, state_graph):
+            monkeypatch.setattr(module, "resolve", resolve_spy)
+        for module in (diagram_module, report_module, state_graph):
+            monkeypatch.setattr(module, "mirror", mirror_spy)
+        monkeypatch.setattr(
+            diagram_module, "_arc_occurrences",
+            counting("occurrences", diagram_module._arc_occurrences),
+        )
+        cases = [(pd, False) for pd in CORPUS.values()] + [("UNKNOT", False)]
+        cases += [(pd, True) for pd in CORPUS.values()] + [(B_ADEQUATE_ONLY, True)]
+        mirrored = 0
+        for pd, auto_mirror in cases:
+            if auto_mirror and pd != B_ADEQUATE_ONLY:
+                pd = to_pd_text(diagram_module.mirror(parse_pd(pd)))
             calls.clear()
-            report = analyze_diagram(corpus[name])
-            assert report.agreement, name
-            assert calls["resolve"] <= 3, name
+            report = analyze_diagram(parse_pd(pd), auto_mirror=auto_mirror)
+            assert report.agreement, pd
+            assert calls == {"resolve": 2, "mirror": 1, "occurrences": 2}, pd
+            mirrored += report.mirrored
+        assert mirrored >= 2  # the mirrored path is counted too
 
     def test_whole_corpus_agrees(self, corpus):
         for name, d in corpus.items():
@@ -157,9 +198,10 @@ class TestNonPlanar:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done on a non-planar code")
 
-        for module in (diagram_module, khovanov, report_module, state_graph):
+        for module in (diagram_module, khovanov, state_graph):
             monkeypatch.setattr(module, "resolve", forbidden)
         monkeypatch.setattr(report_module, "build_state_graph", forbidden)
+        monkeypatch.setattr(report_module, "mirror", forbidden)
         monkeypatch.setattr(khovanov, "_Ctx", forbidden)
         for d in non_planar_codes():
             for call in (
@@ -267,6 +309,20 @@ class TestCliAnalyze:
     def test_malformed_input_is_usage_error(self, capsys):
         assert main(["analyze", "X(1,2,3)"]) == 1
 
+    def test_long_inline_code_is_read_as_pd_text(self, capsys):
+        assert main(["analyze", long_inline_code(), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["crossings"] == 22
+        assert doc["agreement"] is True
+
+    def test_other_os_errors_stay_usage_errors(self, monkeypatch, capsys):
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "is_file", denied)
+        assert main(["analyze", LEFT_TREFOIL]) == 1
+        assert "Permission denied" in capsys.readouterr().err
+
     def test_disconnected_input_exit_code(self, capsys):
         assert main(["analyze", "X(1,1,2,2);X(3,3,4,4)"]) == 2
 
@@ -307,6 +363,12 @@ class TestCliTable:
 
     def test_bad_writhe_parity(self, capsys):
         assert main(["table", LEFT_TREFOIL, "--writhe", "2"]) == 1
+
+    def test_long_inline_code_reaches_the_size_bound(self, capsys):
+        assert main(["table", long_inline_code()]) == 1
+        err = capsys.readouterr().err
+        assert "table mode is capped at 14" in err
+        assert "Errno" not in err
 
 
 class TestCliPps:
