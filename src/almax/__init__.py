@@ -3,91 +3,54 @@
 Three independent routes to the same groups: the closed-form homotopy
 type of the cell structure attached to the all-A state graph, the cellular
 chain complex of that structure, and the enhanced-state complex itself.
+
+The package exports what the README documents; every other name is
+imported from its module (``almax.diagram``, ``almax.khovanov``, ...).
 """
 
 from .diagram import (
-    Diagram,
+    ArcOccurrenceError,
     DiagramError,
     DisconnectedDiagramError,
     InadequateDiagramError,
     NonPlanarDiagramError,
     PDSyntaxError,
-    Resolution,
     State,
-    add_positive_kink,
-    mirror,
+    diagram_from_json_dict,
+    diagram_to_json_dict,
     parse_pd,
-    resolve,
     to_pd_text,
 )
-from .homology import AbelianGroup, IntegerChainComplex, IntMatrix, homology, smith_normal_form
-from .homotopy import HomotopyType, homotopy_type, predicted_homology, suspend
-from .khovanov import (
-    LaurentPoly,
-    build_column,
-    column_homology,
-    framed_to_oriented,
-    full_homology_table,
-    j_extremes,
-    kauffman_bracket,
-)
-from .presimplicial import PartialPresimplicialSet, chain_complex, validate_pps
-from .report import AnalysisReport, analyze_diagram
-from .state_graph import (
-    StateGraph,
-    build_state_graph,
-    cyclomatic_number,
-    is_a_adequate,
-    is_b_adequate,
-    is_bipartite,
-    simple_reduction,
-)
-from .xd import build_xd, khovanov_degree
+from .homology import homology
+from .homotopy import homotopy_type
+from .khovanov import full_homology_table
+from .presimplicial import chain_complex, pps_from_json, pps_to_json
+from .report import analyze_diagram
+from .state_graph import StateGraph, build_state_graph
+from .xd import build_xd
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
-    "AnalysisReport",
-    "Diagram",
+    "ArcOccurrenceError",
     "DiagramError",
     "DisconnectedDiagramError",
-    "HomotopyType",
     "InadequateDiagramError",
-    "IntMatrix",
-    "IntegerChainComplex",
-    "LaurentPoly",
     "NonPlanarDiagramError",
     "PDSyntaxError",
-    "PartialPresimplicialSet",
-    "Resolution",
     "State",
     "StateGraph",
-    "add_positive_kink",
     "analyze_diagram",
-    "build_column",
     "build_state_graph",
     "build_xd",
     "chain_complex",
-    "column_homology",
-    "cyclomatic_number",
-    "framed_to_oriented",
+    "diagram_from_json_dict",
+    "diagram_to_json_dict",
     "full_homology_table",
     "homology",
     "homotopy_type",
-    "is_a_adequate",
-    "is_b_adequate",
-    "is_bipartite",
-    "j_extremes",
-    "kauffman_bracket",
-    "khovanov_degree",
-    "mirror",
     "parse_pd",
-    "predicted_homology",
-    "resolve",
-    "simple_reduction",
-    "smith_normal_form",
-    "suspend",
+    "pps_from_json",
+    "pps_to_json",
     "to_pd_text",
-    "validate_pps",
 ]

@@ -4,9 +4,10 @@ A crossing is a quadruple of arc ids listed counterclockwise around the
 crossing, slot 0 being the incoming under-strand.  Smoothing convention:
 an A-label joins slots {0,1} and {2,3}, a B-label joins {0,3} and {1,2}.
 It is written down once, in ``step_table``, and every circle of the
-package is found by ``trace_circle`` walking that table.  Inside, an arc
-end (x, slot) is the integer 4x + slot, which keeps the order of the
-pairs; ``resolve`` turns them back into pairs for its ``Resolution``.
+package is found by ``trace_circle`` walking that table.  An arc end
+(x, slot) is the integer 4x + slot, and a circle is named by its least
+arc end everywhere in the package; ``state_graph.build_state_graph`` is
+the one place that spells a name out as text.
 Each ``Diagram`` pairs its arc ends once, when it is made; the validity
 checks, ``step_table`` and ``check_planar`` all read that partner list.
 With this convention the standard left trefoil code
@@ -19,11 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-ArcEnd = tuple[int, int]  # (crossing index, slot 0..3)
-
-#: Circle name used for the zero-crossing unknot diagram, which has no arc ends.
-FREE_LOOP: ArcEnd = (-1, 0)
 
 _TOKEN_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\Z")
 
@@ -164,16 +160,17 @@ class State:
 
 @dataclass
 class Resolution:
-    """System of circles obtained by smoothing every crossing.
+    """System of circles obtained by smoothing every crossing, as ``trace_state`` gives it.
 
-    Circles partition the arc-end positions; each circle is named by its
-    least arc-end, and ``circles`` lists the names in sorted order.
-    ``end_circle`` maps each arc end to its circle; the chord of crossing x
-    joins ``end_circle[(x, 0)]`` and ``end_circle[(x, 2)]``.
+    Circles partition the arc ends 4x + slot; each circle is named by its
+    least arc end, and ``circles`` lists the names in sorted order.
+    ``end_circle[e]`` is the circle of arc end e, so the chord of crossing
+    x joins ``end_circle[4 * x]`` and ``end_circle[4 * x + 2]``.  The
+    crossingless unknot has no arc ends and one circle, named 0.
     """
 
-    circles: tuple[ArcEnd, ...]
-    end_circle: dict[ArcEnd, ArcEnd] = field(repr=False)
+    circles: tuple[int, ...]
+    end_circle: list[int] = field(repr=False)
 
     @property
     def circle_count(self) -> int:
@@ -219,8 +216,11 @@ def trace_state(steps: list, mask: int) -> tuple[tuple[int, ...], list[int]]:
     """(circle names in sorted order, the circle of each arc end) for the state ``mask``.
 
     Every circle is traced once by ``trace_circle``, from its least arc
-    end, which names it.
+    end, which names it.  The crossingless unknot has no arc ends; its one
+    circle is named 0, here and so everywhere in the package.
     """
+    if not steps:
+        return (0,), []
     end_circle = [-1] * len(steps)
     circles = []
     for start in range(len(steps)):
@@ -276,8 +276,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
     """Smooth every crossing of ``diagram`` according to ``state``.
 
     The circles come from ``trace_state`` over a fresh ``step_table`` (the
-    arc pairing it reads is the diagram's own), and arc ends are turned
-    back into (crossing, slot) pairs only here.  Callers that walk many
+    arc pairing it reads is the diagram's own).  Callers that walk many
     states of one diagram derive them incrementally with one table and
     ``trace_circle`` instead (see ``khovanov._Ctx``).
     """
@@ -286,14 +285,8 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
         raise DiagramError(
             f"state defined on {len(state.labels)} crossings, diagram has {c}"
         )
-    if c == 0:
-        return Resolution(circles=(FREE_LOOP,), end_circle={})
     mask = sum(1 << ci for ci, label in enumerate(state.labels) if label == "B")
-    circles, end_circle = trace_state(step_table(diagram), mask)
-    return Resolution(
-        circles=tuple(divmod(name, 4) for name in circles),
-        end_circle={divmod(e, 4): divmod(name, 4) for e, name in enumerate(end_circle)},
-    )
+    return Resolution(*trace_state(step_table(diagram), mask))
 
 
 def mirror(diagram: Diagram) -> Diagram:
@@ -366,6 +359,13 @@ def diagram_to_json_dict(diagram: Diagram) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a float, string or boolean)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise PDSyntaxError(f"{what} must be an integer, got {value!r}")
+
+
 def diagram_from_json_dict(doc: dict) -> Diagram:
     if not isinstance(doc, dict) or "crossings" not in doc:
         raise PDSyntaxError("diagram JSON must be an object with a 'crossings' list")
@@ -375,6 +375,6 @@ def diagram_from_json_dict(doc: dict) -> Diagram:
     ):
         raise PDSyntaxError("'crossings' must be a list of 4-element lists")
     return Diagram(
-        tuple(tuple(int(e) for e in q) for q in crossings),
-        int(doc.get("free_loops", 1 if not crossings else 0)),
+        tuple(tuple(_json_int(e, "an arc id") for e in q) for q in crossings),
+        _json_int(doc.get("free_loops", 1 if not crossings else 0), "'free_loops'"),
     )

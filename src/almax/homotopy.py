@@ -68,15 +68,13 @@ class HomotopyType:
         return self.render()
 
 
-def homotopy_type(graph: StateGraph, crossing_count: int | None = None) -> HomotopyType:
+def homotopy_type(graph: StateGraph) -> HomotopyType:
     """Homotopy type of the realization built from a loopless connected graph."""
     if graph.loop_edges():
         raise GraphError(f"graph has loop edges at indices {graph.loop_edges()}")
     if not is_connected_graph(graph):
         raise GraphError("graph must be connected")
     c = graph.edge_count
-    if crossing_count is not None and crossing_count != c:
-        raise GraphError(f"graph has {c} edges, caller claims {crossing_count} crossings")
     p1 = cyclomatic_number(simple_reduction(graph))
     if is_bipartite(graph):
         return HomotopyType(spheres=(c - 2,) * p1 + (c - 1,))

@@ -155,21 +155,20 @@ _Res = tuple[tuple[int, ...], list[int]]
 class _Ctx:
     """Resolutions of one diagram indexed by B-label bitmask, each derived from its parent.
 
-    A resolution is the pair (circles, end): the sorted circle names and,
-    at index e = 4x + slot, the circle of that arc end.  The one step table
-    is built here, and mask 0 is traced over it whole.  Any other mask is
-    its parent, the mask minus its highest bit, with that one crossing
-    flipped from A to B.  Only the circles through the flipped crossing
-    change (two merge, or one splits, or on non-planar data one stays one),
-    so only they are retraced with ``trace_circle``.  The crossingless
-    unknot has no arc ends; its one circle is named 0.
+    A resolution is the pair (circles, end) that ``trace_state`` returns:
+    the two fields of a ``diagram.Resolution``, kept bare so that no object
+    is built per mask.  The one step table is built here, and mask 0 is
+    traced over it whole.  Any other mask is its parent, the mask minus
+    its highest bit, with that one crossing flipped from A to B.  Only the
+    circles through the flipped crossing change (two merge, or one splits,
+    or on non-planar data one stays one), so only they are retraced with
+    ``trace_circle``.
     """
 
     def __init__(self, diagram: Diagram):
         self.c = diagram.crossing_count
         self._steps = step_table(diagram)
-        first = trace_state(self._steps, 0) if self.c else ((0,), [])
-        self._res: dict[int, _Res] = {0: first}
+        self._res: dict[int, _Res] = {0: trace_state(self._steps, 0)}
 
     def res(self, mask: int) -> _Res:
         r = self._res.get(mask)

@@ -36,18 +36,32 @@ class AnalysisReport:
     mirrored: bool
     a_adequate: bool            # adequacy of the *input* diagram
     b_adequate: bool
-    crossing_count: int
-    circles_all_a: int
     circles_all_b: int
-    graph: StateGraph
-    vertex_count: int
+    graph: StateGraph           # all-A state graph of ``diagram``
     p1: int
     bipartite: bool
-    j_max: int
-    j_almax: int
     homotopy: HomotopyType
     tables: dict[str, dict[tuple[int, int], AbelianGroup]]
     xd: PartialPresimplicialSet
+
+    @property
+    def crossing_count(self) -> int:
+        return self.diagram.crossing_count
+
+    @property
+    def circles_all_a(self) -> int:
+        return len(self.graph.vertices)
+
+    # the all-A state graph has one vertex per all-A circle
+    vertex_count = circles_all_a
+
+    @property
+    def j_max(self) -> int:
+        return self.crossing_count + 2 * self.circles_all_a
+
+    @property
+    def j_almax(self) -> int:
+        return self.j_max - 4
 
     @property
     def agreement(self) -> bool:
@@ -146,8 +160,7 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     circles_all_a = len(graph.vertices)
     p1 = cyclomatic_number(simple_reduction(graph))
     bipartite = is_bipartite(graph)
-    j_max = c + 2 * circles_all_a
-    j_almax = j_max - 4
+    j_almax = c + 2 * circles_all_a - 4
     htype = homotopy_type(graph)
 
     formula = predicted_homology(htype, c, circles_all_a)
@@ -165,15 +178,10 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         mirrored=mirrored,
         a_adequate=a_ok,
         b_adequate=b_ok,
-        crossing_count=c,
-        circles_all_a=circles_all_a,
         circles_all_b=len(graph_b.vertices),
         graph=graph,
-        vertex_count=len(graph.vertices),
         p1=p1,
         bipartite=bipartite,
-        j_max=j_max,
-        j_almax=j_almax,
         homotopy=htype,
         tables={"formula": formula, "cellular": cellular, "direct": direct},
         xd=xd,

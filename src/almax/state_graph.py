@@ -42,12 +42,19 @@ class StateGraph:
 
 
 def build_state_graph(diagram: Diagram, state: State) -> StateGraph:
-    """Circles as vertices; crossing x gives the edge between the circles at its slots 0 and 2."""
+    """Circles as vertices; crossing x gives the edge between the circles at its slots 0 and 2.
+
+    A circle, named inside the package by its least arc end 4x + slot, is
+    the vertex ``c<x>s<slot>``; the one circle of the unknot is ``freeloop``.
+    """
     res = resolve(diagram, state)
     end = res.end_circle
+    names = {n: f"c{n >> 2}s{n & 3}" if end else "freeloop" for n in res.circles}
     return StateGraph(
-        vertices=res.circles,
-        edges=tuple((end[(x, 0)], end[(x, 2)]) for x in range(diagram.crossing_count)),
+        vertices=tuple(names.values()),
+        edges=tuple(
+            (names[end[4 * x]], names[end[4 * x + 2]]) for x in range(diagram.crossing_count)
+        ),
     )
 
 
@@ -130,22 +137,8 @@ def is_bipartite(graph: StateGraph) -> bool:
     return True
 
 
-def format_vertex(name: Hashable) -> str:
-    """Stable string form of a vertex name for JSON output.
-
-    Diagram-derived circle names are (crossing, slot) pairs and render as
-    ``c<crossing>s<slot>``; the free-loop circle of the unknot renders as
-    ``freeloop``; anything else is taken verbatim via ``str``.
-    """
-    if isinstance(name, tuple) and len(name) == 2 and all(isinstance(x, int) for x in name):
-        if name == (-1, 0):
-            return "freeloop"
-        return f"c{name[0]}s{name[1]}"
-    return str(name)
-
-
 def graph_to_json_dict(graph: StateGraph) -> dict:
-    names = {v: format_vertex(v) for v in graph.vertices}
+    names = {v: str(v) for v in graph.vertices}
     if len(set(names.values())) != len(names):
         raise GraphError("vertex names collide after string formatting")
     return {

@@ -8,8 +8,10 @@ vertex pair).  Face maps drop one edge when doing so stays inside that
 rule.  The construction works for any loopless graph, not only state
 graphs of diagrams.
 
-A cell is named by its edge tuple, ``"(v0,v2,v3)"``, or by its vertex; a
-face holds its target's position, never its name.
+A cell below the top is named by its edge tuple, ``"(v0,v2,v3)"``; a top
+cell by ``str`` of its vertex, which for a diagram's state graph is the
+``c<x>s<slot>`` name that ``build_state_graph`` gives its circle.  A face
+holds its target's position, never its name.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .presimplicial import EMPTY_PPS, PartialPresimplicialSet
-from .state_graph import StateGraph, GraphError, format_vertex, is_connected_graph
+from .state_graph import StateGraph, GraphError, is_connected_graph
 
 
 def tuple_cell_id(edge_indices) -> str:
@@ -62,7 +64,7 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
         levels[k].sort(key=lambda cell: cell[0])
         cells[k] = tuple(tuple_cell_id(combo) for combo, _class in levels[k])
         position[k] = {combo: p for p, (combo, _class) in enumerate(levels[k])}
-    cells[n] = tuple(format_vertex(v) for v in graph.vertices)
+    cells[n] = tuple(str(v) for v in graph.vertices)
 
     # a face is defined where dropping the edge keeps the rule: at a vertex,
     # any incident edge; below the top, an edge of the removed subset's class

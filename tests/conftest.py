@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from almax import full_homology_table, mirror, parse_pd
+from almax import full_homology_table, parse_pd
+from almax.diagram import mirror
 
 # Calibration diagram: all-A resolution has 3 circles and a triangular graph.
 LEFT_TREFOIL = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"

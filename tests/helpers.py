@@ -19,11 +19,11 @@ import math
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from almax.diagram import FREE_LOOP, Diagram, DiagramError, Resolution, State, resolve
+from almax.diagram import Diagram, DiagramError, Resolution, State, resolve
 from almax.homology import AbelianGroup
 from almax.khovanov import LOOP_VALUE, LaurentPoly
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
-from almax.state_graph import StateGraph, format_vertex, is_a_adequate
+from almax.state_graph import StateGraph, is_a_adequate
 from almax.xd import tuple_cell_id
 
 
@@ -46,16 +46,17 @@ def arc_partner(diagram: Diagram) -> dict:
 
 
 def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
-    """Circles of ``state`` by a disjoint-set union over arc ends.
+    """Circles of ``state`` by a disjoint-set union over arc ends (crossing, slot).
 
     The two ends of each arc are unified, and at each crossing every slot
     with the slot its label's smoothing joins it to.  A union keeps the
     smaller root, so each circle is named by its least arc end, as in
-    ``resolve``.
+    ``resolve``; the result speaks the package's names, the arc end
+    (x, slot) as the integer 4x + slot and the unknot's one circle as 0.
     """
     c = diagram.crossing_count
     if c == 0:
-        return Resolution(circles=(FREE_LOOP,), end_circle={})
+        return Resolution(circles=(0,), end_circle=[])
     parent = {(ci, slot): (ci, slot) for ci in range(c) for slot in range(4)}
 
     def find(x):
@@ -73,8 +74,8 @@ def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
         match = _A_MATCH if label == "A" else _B_MATCH
         for slot in range(4):
             union((ci, slot), (ci, match[slot]))
-    end_circle = {end: find(end) for end in parent}
-    return Resolution(circles=tuple(sorted(set(end_circle.values()))), end_circle=end_circle)
+    end_circle = [4 * x + slot for x, slot in (find(end) for end in sorted(parent))]
+    return Resolution(circles=tuple(sorted(set(end_circle))), end_circle=end_circle)
 
 
 def trace_circle_count(diagram: Diagram, state: State) -> int:
@@ -220,9 +221,8 @@ def bracket_oracle(diagram: Diagram) -> LaurentPoly:
 #
 # A generator here is (mask, negatives): bit x of mask set means a B-label at
 # crossing x, negatives the frozenset of the names of the negative circles.
-# The package keeps negbits, an integer with bit 4x + slot set for the
-# negative circle named (x, slot); ``decode_generator`` turns one into the
-# other.
+# The package keeps negbits, an integer with bit n set for the negative
+# circle named n; ``named_generator`` turns one into the other.
 
 
 def mask_state(c: int, mask: int) -> State:
@@ -258,24 +258,10 @@ def enhanced_census(diagram: Diagram) -> dict:
     return census
 
 
-def decode_name(c: int, name: int):
-    """A package circle name, the arc end 4x + slot, as the pair (x, slot).
-
-    The crossingless unknot has no arc ends; its one circle is named 0 in
-    the package and ``FREE_LOOP`` in a ``Resolution``.
-    """
-    if c == 0:
-        if name != 0:
-            raise ValueError(f"the unknot has one circle, named 0, not {name}")
-        return FREE_LOOP
-    return divmod(name, 4)
-
-
-def decode_generator(c: int, generator) -> tuple:
+def named_generator(generator) -> tuple:
     """A package generator (mask, negbits) as (mask, frozenset of negative circle names)."""
     mask, negbits = generator
-    names = [n for n in range(negbits.bit_length()) if negbits >> n & 1]
-    return mask, frozenset(decode_name(c, n) for n in names)
+    return mask, frozenset(n for n in range(negbits.bit_length()) if negbits >> n & 1)
 
 
 # The signs a flip gives the circles it touches, from those of the circles
@@ -311,8 +297,8 @@ def reference_differential(diagram: Diagram):
                 continue
             target = mask | 1 << x
             incidence = (-1) ** sum(mask >> y & 1 for y in range(x + 1, c))
-            s0, s2 = source.end_circle[(x, 0)], source.end_circle[(x, 2)]
-            t0, t2 = resolution(target).end_circle[(x, 0)], resolution(target).end_circle[(x, 2)]
+            s0, s2 = source.end_circle[4 * x], source.end_circle[4 * x + 2]
+            t0, t2 = resolution(target).end_circle[4 * x], resolution(target).end_circle[4 * x + 2]
             sign = {name: -1 if name in negatives else 1 for name in (s0, s2)}
             if s0 != s2:
                 if t0 != t2:
@@ -507,7 +493,7 @@ def xd_oracle(graph: StateGraph) -> PartialPresimplicialSet:
         return EMPTY_PPS
     n = c - 1
     pairs = [frozenset(e) for e in graph.edges]
-    cells = {str(n): [format_vertex(v) for v in graph.vertices]}
+    cells = {str(n): [str(v) for v in graph.vertices]}
     levels = {}
     for k in range(n):
         levels[k] = [
@@ -525,7 +511,7 @@ def xd_oracle(graph: StateGraph) -> PartialPresimplicialSet:
             if vertex in graph.edges[i]
         }
         if fmap and n >= 1:
-            top[format_vertex(vertex)] = fmap
+            top[str(vertex)] = fmap
     if top:
         faces[str(n)] = top
     for k in range(1, n):

@@ -129,7 +129,8 @@ class TestResolve:
     def test_unknot(self, unknot):
         res = resolve(unknot, State(()))
         assert res.circle_count == 1
-        assert res.end_circle == {}  # no crossing, so no chord
+        assert res.circles == (0,)  # the unknot's one circle is named 0
+        assert res.end_circle == []  # no crossing, so no arc end
 
     def test_chord_count_and_circle_bounds(self, corpus):
         for d in corpus.values():
@@ -169,7 +170,7 @@ class TestResolve:
     def test_canonical_circle_names_are_least_ends(self, left_trefoil):
         res = resolve(left_trefoil, State.all_a(3))
         for name in res.circles:
-            members = [e for e, circ in res.end_circle.items() if circ == name]
+            members = [e for e, circ in enumerate(res.end_circle) if circ == name]
             assert min(members) == name
 
 

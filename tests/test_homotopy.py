@@ -25,7 +25,7 @@ class TestHomotopyType:
         assert t.render() == "RP^2"
 
     def test_three_parallel_edges_give_a_two_sphere(self):
-        t = homotopy_type(DIPOLE3, crossing_count=3)
+        t = homotopy_type(DIPOLE3)
         assert t == HomotopyType(spheres=(2,))
         assert t.render() == "S^2"
 
@@ -47,10 +47,6 @@ class TestHomotopyType:
             edges=(("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")),
         )
         assert homotopy_type(square) == HomotopyType(spheres=(2, 3))
-
-    def test_edge_count_mismatch_rejected(self):
-        with pytest.raises(GraphError):
-            homotopy_type(TRIANGLE, crossing_count=5)
 
     def test_loops_rejected(self):
         with pytest.raises(GraphError):

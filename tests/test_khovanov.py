@@ -16,6 +16,7 @@ from almax.diagram import (
     resolve,
     step_table,
     to_pd_text,
+    trace_state,
 )
 from almax.homology import AbelianGroup
 from almax.khovanov import (
@@ -37,12 +38,11 @@ from helpers import (
     almost_extreme_generators,
     bracket_oracle,
     braid_pd,
-    decode_generator,
-    decode_name,
     enhanced_census,
     face_count,
     gradings,
     mask_state,
+    named_generator,
     random_pd_codes,
     random_reidemeister_two,
     reference_differential,
@@ -95,15 +95,14 @@ def same_columns(d, js):
     The census is enumerated once for the diagram, with ``resolve`` on
     every mask; the reference differential applies the merge/split sign
     rules to union-find circles.  Neither shares code with the pruned walk
-    or ``_boundary``, and the two sides meet as maps between decoded
+    or ``_boundary``, and the two sides meet as maps between named
     generators, so the order of either basis does not matter.
     """
     census = enhanced_census(d)
     differential = reference_differential(d)
-    c = d.crossing_count
     for j in js:
         fast = build_column(d, j)
-        gens = {i: [decode_generator(c, g) for g in gs] for i, gs in fast.generators.items()}
+        gens = {i: [named_generator(g) for g in gs] for i, gs in fast.generators.items()}
         per_i = {i: gs for (i, jj), gs in census.items() if jj == j}
         assert {i: Counter(g) for i, g in gens.items()} == {
             i: Counter(g) for i, g in per_i.items()
@@ -189,7 +188,7 @@ class TestBuildColumn:
         col = build_column(figure_eight, j_almax)
         for i, gens in col.generators.items():
             for generator in gens:
-                assert gradings(figure_eight, decode_generator(figure_eight.crossing_count, generator)) == (i, j_almax)
+                assert gradings(figure_eight, named_generator(generator)) == (i, j_almax)
 
 
 class TestPrunedColumnWalk:
@@ -258,9 +257,10 @@ class TestResolutionStore:
 
     @staticmethod
     def assert_match_union_find(d, rng):
-        """``resolve`` and ``_Ctx.res`` against the union-find oracle on every mask."""
+        """``resolve``, ``trace_state`` and ``_Ctx.res`` against the union-find oracle on every mask."""
         c = d.crossing_count
         ctx = khovanov._Ctx(d)
+        steps = step_table(d)
         masks = list(range(1 << c))
         rng.shuffle(masks)  # parents are not always resolved first
         for mask in masks:
@@ -268,9 +268,8 @@ class TestResolutionStore:
             got = resolve(d, mask_state(c, mask))
             assert got.circles == want.circles
             assert got.end_circle == want.end_circle  # and so the chords
-            circles, end = ctx.res(mask)
-            assert tuple(decode_name(c, name) for name in circles) == want.circles
-            assert {divmod(e, 4): divmod(name, 4) for e, name in enumerate(end)} == want.end_circle
+            assert trace_state(steps, mask) == (want.circles, want.end_circle)
+            assert ctx.res(mask) == (want.circles, want.end_circle)
         return ctx
 
     def test_derived_resolutions_match_union_find(self, corpus, unknot):

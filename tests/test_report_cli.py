@@ -336,6 +336,25 @@ class TestCliAnalyze:
         assert "NO" in capsys.readouterr().out
 
 
+# label -> (inline diagram JSON, the value its error message must name)
+NON_INTEGER_DIAGRAM_JSON = {
+    "float-arc-id": ('{"crossings": [[1.7,4,2,5],[3,6,4,1],[5,2,6,3]]}', "1.7"),
+    "boolean-arc-id": ('{"crossings": [[true,4,2,5],[3,6,4,1],[5,2,6,3]]}', "True"),
+    "string-arc-id": ('{"crossings": [["1",4,2,5],[3,6,4,1],[5,2,6,3]]}', "'1'"),
+    "float-free-loops": ('{"crossings": [], "free_loops": 1.9}', "1.9"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "table"])
+@pytest.mark.parametrize("doc, value", NON_INTEGER_DIAGRAM_JSON.values(), ids=NON_INTEGER_DIAGRAM_JSON)
+def test_non_integer_diagram_json_is_one_error_line(capsys, command, doc, value):
+    assert main([command, doc]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and value in line
+
+
 class TestCliTable:
     def test_text_table(self, capsys):
         assert main(["table", LEFT_TREFOIL]) == 0

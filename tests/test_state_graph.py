@@ -39,13 +39,17 @@ class TestBuildStateGraph:
 
     def test_unknot(self, unknot):
         g = build_state_graph(unknot, State(()))
-        assert len(g.vertices) == 1
+        assert g.vertices == ("freeloop",)
         assert g.edges == ()
 
     def test_edge_order_is_crossing_order(self, left_trefoil):
         g = build_state_graph(left_trefoil, State.all_a(3))
         res = resolve(left_trefoil, State.all_a(3))
-        assert g.edges == tuple((res.end_circle[(x, 0)], res.end_circle[(x, 2)]) for x in range(3))
+        assert res.circles == (0, 2, 4)  # the arc ends (0, 0), (0, 2) and (1, 0)
+        names = dict(zip(res.circles, ("c0s0", "c0s2", "c1s0")))
+        assert g.vertices == tuple(names.values())
+        end = res.end_circle
+        assert g.edges == tuple((names[end[4 * x]], names[end[4 * x + 2]]) for x in range(3))
 
 
 class TestAdequacy:
