@@ -8,6 +8,7 @@ axiom-violating PPS, 3 cross-check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -183,14 +184,7 @@ def _cmd_pps(args) -> int:
         if args.format == "json":
             doc = {"valid": violation is None}
             if violation is not None:
-                doc["violation"] = {
-                    "dimension": violation.dimension,
-                    "cell": violation.cell,
-                    "i": violation.i,
-                    "j": violation.j,
-                    "left": violation.left,
-                    "right": violation.right,
-                }
+                doc["violation"] = dataclasses.asdict(violation)
             print(json.dumps(doc, indent=2))
         elif violation is None:
             print("valid: face-map axiom holds")

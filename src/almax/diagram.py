@@ -64,11 +64,14 @@ class Diagram:
     _partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        crossings = tuple(tuple(int(e) for e in q) for q in self.crossings)
+        crossings = tuple(tuple(q) for q in self.crossings)
         object.__setattr__(self, "crossings", crossings)
         for q in crossings:
+            for e in q:
+                _check_int(e, "an arc id")
             if len(q) != 4 or any(e < 0 for e in q):
                 raise DiagramError(f"crossing must be four non-negative arc ids, got {q!r}")
+        _check_int(self.free_loops, "free_loops")
         object.__setattr__(self, "_partner", _pair_arc_ends(crossings))
         if crossings:
             if self.free_loops != 0:
@@ -84,6 +87,12 @@ class Diagram:
     def arc_ids(self) -> tuple[int, ...]:
         """All arc ids, sorted."""
         return tuple(sorted({e for q in self.crossings for e in q}))
+
+
+def _check_int(value, what: str) -> None:
+    """Raise ``DiagramError`` unless ``value`` is an ``int`` (a ``bool`` is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
 
 
 def _arc_occurrences(crossings) -> dict[int, list[int]]:
@@ -278,7 +287,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
     The circles come from ``trace_state`` over a fresh ``step_table`` (the
     arc pairing it reads is the diagram's own).  Callers that walk many
     states of one diagram derive them incrementally with one table and
-    ``trace_circle`` instead (see ``khovanov._Ctx``).
+    ``trace_circle`` instead (see ``khovanov._walk``).
     """
     c = diagram.crossing_count
     if len(state.labels) != c:
@@ -359,13 +368,6 @@ def diagram_to_json_dict(diagram: Diagram) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (not a float, string or boolean)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise PDSyntaxError(f"{what} must be an integer, got {value!r}")
-
-
 def diagram_from_json_dict(doc: dict) -> Diagram:
     if not isinstance(doc, dict) or "crossings" not in doc:
         raise PDSyntaxError("diagram JSON must be an object with a 'crossings' list")
@@ -374,7 +376,4 @@ def diagram_from_json_dict(doc: dict) -> Diagram:
         not isinstance(q, list) or len(q) != 4 for q in crossings
     ):
         raise PDSyntaxError("'crossings' must be a list of 4-element lists")
-    return Diagram(
-        tuple(tuple(_json_int(e, "an arc id") for e in q) for q in crossings),
-        _json_int(doc.get("free_loops", 1 if not crossings else 0), "'free_loops'"),
-    )
+    return Diagram(crossings, doc.get("free_loops", 1 if not crossings else 0))

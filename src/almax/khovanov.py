@@ -13,10 +13,12 @@ its incidence sign is (-1)^k with k the number of B-labels after the
 flipped crossing.  Homological degree i drops by 2.
 
 There is one walk of the cube, ``_walk``: depth-first from all-A, each
-mask met once with its resolution.  ``build_column`` runs it with the
-deficit cut for one j; ``full_homology_table``, ``kauffman_bracket`` and
-``generator_rank_table`` run it whole.  Each call builds a ``_Ctx`` of its
-own and walks once; nothing is cached between calls.
+mask met once and derived from its parent, and it returns the resolutions
+of the masks it keeps as a plain dict by mask.  ``build_column`` runs it
+with the deficit cut for one j; ``full_homology_table``,
+``kauffman_bracket`` and ``generator_rank_table`` run it whole.  ``_census``
+files the enhanced states of a walk by (j, i), and ``_histogram`` counts
+its masks.  Each call walks once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -152,73 +154,63 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 _Res = tuple[tuple[int, ...], list[int]]
 
 
-class _Ctx:
-    """Resolutions of one diagram indexed by B-label bitmask, each derived from its parent.
+def _flip(steps: list, parent: _Res, mask: int, x: int) -> _Res:
+    """Resolution of ``mask`` from that of ``parent``, the same mask with crossing x A.
+
+    Only the circles through x change (two merge, or one splits, or on
+    non-planar data one stays one), so only they are retraced with
+    ``trace_circle`` over the step table ``steps``.
+    """
+    circles, end = parent
+    end = end[:]
+    gone = (end[4 * x], end[4 * x + 2])
+    circles = [name for name in circles if name not in gone]
+    loops = [trace_circle(steps, mask, 4 * x)]
+    if 4 * x + 1 not in loops[0]:  # the circle through x split in two
+        loops.append(trace_circle(steps, mask, 4 * x + 1))
+    for ends in loops:
+        name = min(ends)  # circles are named by their least arc end
+        circles.append(name)
+        for e in ends:
+            end[e] = name
+    circles.sort()
+    return tuple(circles), end
+
+
+def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
+    """The resolution of each mask the walk keeps, by B-label bitmask, in walk order.
 
     A resolution is the pair (circles, end) that ``trace_state`` returns:
     the two fields of a ``diagram.Resolution``, kept bare so that no object
-    is built per mask.  The one step table is built here, and mask 0 is
-    traced over it whole.  Any other mask is its parent, the mask minus
-    its highest bit, with that one crossing flipped from A to B.  Only the
-    circles through the flipped crossing change (two merge, or one splits,
-    or on non-planar data one stays one), so only they are retraced with
-    ``trace_circle``.
-    """
-
-    def __init__(self, diagram: Diagram):
-        self.c = diagram.crossing_count
-        self._steps = step_table(diagram)
-        self._res: dict[int, _Res] = {0: trace_state(self._steps, 0)}
-
-    def res(self, mask: int) -> _Res:
-        r = self._res.get(mask)
-        if r is None:
-            top = mask.bit_length() - 1
-            r = self._flip(self.res(mask ^ (1 << top)), mask, top)
-            self._res[mask] = r
-        return r
-
-    def _flip(self, parent: _Res, mask: int, x: int) -> _Res:
-        """Resolution of ``mask`` from that of ``parent``, where crossing x was A."""
-        circles, end = parent
-        end = end[:]
-        gone = (end[4 * x], end[4 * x + 2])
-        circles = [name for name in circles if name not in gone]
-        loops = [trace_circle(self._steps, mask, 4 * x)]
-        if 4 * x + 1 not in loops[0]:  # the circle through x split in two
-            loops.append(trace_circle(self._steps, mask, 4 * x + 1))
-        for ends in loops:
-            name = min(ends)  # circles are named by their least arc end
-            circles.append(name)
-            for e in ends:
-                end[e] = name
-        circles.sort()
-        return tuple(circles), end
-
-
-def _walk(ctx: _Ctx, j: int | None = None):
-    """Yield (mask, circles) for every mask, depth-first from all-A.
-
-    Each mask is extended only by bits above its highest one, so every mask
-    is reached once, through its parent, and its parent is resolved first.
+    is built per mask.  The one step table is built here and mask 0 is
+    traced over it whole.  The walk is depth-first from all-A, and each
+    mask is extended only by bits above its highest one, so every mask is
+    reached once, from its parent (the mask minus its highest bit), which
+    ``_flip`` turns into it.
     With ``j`` given, the walk is cut: a mask with deficit
     ``|all-A circles| + |mask| - #circles`` carries no j above
     ``j_max - 2 * deficit``.  One flip adds at most one circle, so the
     deficit never drops from a mask to a superset, and a mask whose deficit
-    already rules out j is skipped together with everything above it.  The
-    cut walk thus costs the column times c, not 2^c.
+    already rules out j is dropped together with everything above it.  The
+    cut walk thus costs the column times c, not 2^c; without ``j`` it keeps
+    all 2^c masks.
     """
-    c = ctx.c
-    circles_a = len(ctx.res(0)[0])
+    steps = step_table(diagram)
+    c = diagram.crossing_count
+    root = trace_state(steps, 0)
+    circles_a = len(root[0])
     slack = None if j is None else c + 2 * circles_a - j  # j_max - j
+    kept: dict[int, _Res] = {}
     stack = [0]
     while stack:
         mask = stack.pop()
-        circles = ctx.res(mask)[0]
-        if slack is not None and 2 * (circles_a + mask.bit_count() - len(circles)) > slack:
+        top = mask.bit_length() - 1
+        res = _flip(steps, kept[mask ^ (1 << top)], mask, top) if mask else root
+        if slack is not None and 2 * (circles_a + mask.bit_count() - len(res[0])) > slack:
             continue
-        stack.extend(mask | (1 << x) for x in range(mask.bit_length(), c))
-        yield mask, circles
+        kept[mask] = res
+        stack.extend(mask | (1 << x) for x in range(top + 1, c))
+    return kept
 
 
 def _enhancements(mask: int, circles, negatives: int) -> list[tuple[int, int]]:
@@ -227,23 +219,32 @@ def _enhancements(mask: int, circles, negatives: int) -> list[tuple[int, int]]:
     return [(mask, sum(combo)) for combo in combinations(bits, negatives)]
 
 
-def _census_column(ctx: _Ctx, j: int) -> dict[int, list]:
-    """Enhanced states with the given j, grouped by i, via the tau constraint."""
-    per_i: dict[int, list] = {}
-    c = ctx.c
-    for mask, circles in _walk(ctx, j):
-        sigma = c - 2 * mask.bit_count()
-        if (j - sigma) % 2:
-            continue
-        tau = (j - sigma) // 2
-        doubled = len(circles) - tau
-        if doubled % 2 or not 0 <= doubled <= 2 * len(circles):
-            continue
-        per_i.setdefault(sigma, []).extend(_enhancements(mask, circles, doubled // 2))
-    return per_i
+def _census(kept: dict[int, _Res], c: int, j: int | None = None) -> dict[int, dict[int, list]]:
+    """Every enhanced state on the ``kept`` masks, filed by j and then by i, in walk order.
+
+    A state with B-count r and n of its k circles negative sits at
+    i = c - 2r and j = i + 2(k - 2n).  With ``j`` given, only that column
+    is filed.
+    """
+    columns: dict[int, dict[int, list]] = {}
+    for mask, (circles, _) in kept.items():
+        i = c - 2 * mask.bit_count()
+        k = len(circles)
+        for negatives in range(k + 1):
+            at = i + 2 * (k - 2 * negatives)
+            if j is None or at == j:
+                columns.setdefault(at, {}).setdefault(i, []).extend(
+                    _enhancements(mask, circles, negatives)
+                )
+    return columns
 
 
-def _flips(ctx: _Ctx, mask: int, target_index: dict) -> list[tuple]:
+def _histogram(kept: dict[int, _Res], c: int) -> Counter:
+    """Number of masks per (sigma, circles): all that ranks and the bracket need."""
+    return Counter((c - 2 * mask.bit_count(), len(circles)) for mask, (circles, _) in kept.items())
+
+
+def _flips(kept: dict[int, _Res], mask: int, target_index: dict) -> list[tuple]:
     """Per crossing x that is A in ``mask``: (incidence, targets, b0, b2, t0, t2).
 
     The incidence is (-1)^k, with k the number of B-labels after x, and
@@ -251,13 +252,15 @@ def _flips(ctx: _Ctx, mask: int, target_index: dict) -> list[tuple]:
     mask to its row.  b0 and b2 are the bits of the circles at slots 0 and
     2 of x before the flip, t0 and t2 after it; b0 == b2 means a split, and
     t0 == t2 a merge.  Only a split needs the flipped mask's resolution,
-    and every split has an image in the column, so no mask outside the
-    walk is resolved.
+    and ``kept`` always holds it.  Each split has an image at the same j,
+    and the flipped mask has the deficit of ``mask`` (one more B-label, one
+    more circle): that deficit is within the walk's cut, and so is the
+    deficit of each mask below it, through which the walk reaches it.
     """
-    end = ctx.res(mask)[1]
+    end = kept[mask][1]
     flips = []
     after = 0
-    for x in range(ctx.c - 1, -1, -1):
+    for x in range(len(end) // 4 - 1, -1, -1):
         bit = 1 << x
         if mask & bit:
             after += 1
@@ -268,14 +271,14 @@ def _flips(ctx: _Ctx, mask: int, target_index: dict) -> list[tuple]:
             # a merge keeps every arc end of both circles, so the lesser name
             t0 = t2 = min(s0, s2)
         else:
-            tend = ctx.res(tmask)[1]
+            tend = kept[tmask][1]
             t0, t2 = tend[4 * x], tend[4 * x + 2]
         incidence = -1 if after & 1 else 1
         flips.append((incidence, target_index.get(tmask, {}), 1 << s0, 1 << s2, 1 << t0, 1 << t2))
     return flips
 
 
-def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
+def _boundary(kept: dict[int, _Res], sources: list, targets: list) -> IntMatrix:
     """Matrix of the differential from the ``sources`` block to ``targets``.
 
     Each (row, column) is met once: the flipped crossing fixes the target
@@ -291,7 +294,7 @@ def _boundary(ctx: _Ctx, sources: list, targets: list) -> IntMatrix:
     for col, (mask, negs) in enumerate(sources):
         if mask != last:  # a mask's generators are contiguous: one _flips per mask
             last = mask
-            flips = _flips(ctx, mask, target_index)
+            flips = _flips(kept, mask, target_index)
         for incidence, targets_of, b0, b2, t0, t2 in flips:
             if b0 != b2:
                 # two circles merge; a (+,+) pair admits no j-preserving sign
@@ -330,14 +333,14 @@ class GradedComplexColumn:
         return IntegerChainComplex(ranks=ranks, boundaries=dict(self.boundaries), step=2)
 
 
-def _column(ctx: _Ctx, j: int, per_i: dict[int, list]) -> GradedComplexColumn:
+def _column(kept: dict[int, _Res], j: int, per_i: dict[int, list]) -> GradedComplexColumn:
     """The column of quantum grading j on the generators ``per_i``, keyed by i."""
     generators = {}
     boundaries = {}
     for i in sorted(per_i, reverse=True):
         generators[i] = per_i[i]
         if per_i.get(i - 2):
-            boundaries[i] = _boundary(ctx, per_i[i], per_i[i - 2])
+            boundaries[i] = _boundary(kept, per_i[i], per_i[i - 2])
         elif per_i[i]:
             boundaries[i] = IntMatrix(0, len(per_i[i]))
     return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
@@ -346,21 +349,14 @@ def _column(ctx: _Ctx, j: int, per_i: dict[int, list]) -> GradedComplexColumn:
 def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
     """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
 
-    The generators are found by the walk cut at j (``_census_column``), so
-    the cost follows the size of the column, not 2^c.  They stay (mask,
-    negbits) pairs in the order the walk meets them; the resolutions come
-    from a ``_Ctx`` of this call's own.  Non-planar PD codes are rejected
-    with ``NonPlanarDiagramError``.
+    The generators are found by the walk cut at j (``_walk``), so the cost
+    follows the size of the column, not 2^c.  They stay (mask, negbits)
+    pairs in the order the walk meets them.  Non-planar PD codes are
+    rejected with ``NonPlanarDiagramError``.
     """
     check_planar(diagram)
-    ctx = _Ctx(diagram)
-    return _column(ctx, j, _census_column(ctx, j))
-
-
-def _histogram(ctx: _Ctx) -> Counter:
-    """Number of masks per (sigma, circles): all that ranks and the bracket need."""
-    c = ctx.c
-    return Counter((c - 2 * mask.bit_count(), len(circles)) for mask, circles in _walk(ctx))
+    kept = _walk(diagram, j)
+    return _column(kept, j, _census(kept, diagram.crossing_count, j).get(j, {}))
 
 
 def _bracket(histogram: Counter) -> LaurentPoly:
@@ -378,7 +374,7 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
     so this equals d times the usual bracket and matches the generator
     count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j.
     """
-    return _bracket(_histogram(_Ctx(diagram)))
+    return _bracket(_histogram(_walk(diagram), diagram.crossing_count))
 
 
 def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
@@ -390,7 +386,7 @@ def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIM
     """
     _check_limit(diagram, limit)
     table: dict[tuple[int, int], int] = {}
-    for (sigma, circles), masks in _histogram(_Ctx(diagram)).items():
+    for (sigma, circles), masks in _histogram(_walk(diagram), diagram.crossing_count).items():
         for negatives in range(circles + 1):
             key = (sigma, sigma + 2 * (circles - 2 * negatives))
             table[key] = table.get(key, 0) + masks * math.comb(circles, negatives)
@@ -419,33 +415,23 @@ def full_homology_table(
 ) -> tuple[dict[tuple[int, int], AbelianGroup], LaurentPoly]:
     """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
 
-    One walk of the cube resolves each mask once and files every enhanced
-    state under its (j, i) in the order the walk meets it; the same walk
-    counts the masks per (sigma, circles), from which the Kauffman bracket
-    follows.  Non-planar PD codes are rejected with ``NonPlanarDiagramError``
-    before any other work.
+    One walk of the cube resolves each mask once; every enhanced state is
+    filed under its (j, i) in the order the walk met its mask, and the
+    masks counted per (sigma, circles) give the Kauffman bracket.
+    Non-planar PD codes are rejected with ``NonPlanarDiagramError`` before
+    any other work.
     """
     check_planar(diagram)
     _check_limit(diagram, limit)
-    ctx = _Ctx(diagram)
-    c = ctx.c
-    columns: dict[int, dict[int, list]] = {}
-    histogram: Counter = Counter()
-    for mask, circles in _walk(ctx):
-        sigma = c - 2 * mask.bit_count()
-        count = len(circles)
-        histogram[sigma, count] += 1
-        for negatives in range(count + 1):
-            j = sigma + 2 * (count - 2 * negatives)
-            columns.setdefault(j, {}).setdefault(sigma, []).extend(
-                _enhancements(mask, circles, negatives)
-            )
+    c = diagram.crossing_count
+    kept = _walk(diagram)
+    columns = _census(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
-        groups = homology(_column(ctx, j, columns[j]).complex())
+        groups = homology(_column(kept, j, columns[j]).complex())
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
-    return table, _bracket(histogram)
+    return table, _bracket(_histogram(kept, c))
 
 
 def shift_table(table: dict, di: int, dj: int) -> dict:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,23 @@ class TestParse:
             Diagram((), free_loops=0)
         with pytest.raises(DiagramError):
             Diagram(((1, 1, 2, 2),), free_loops=1)
+
+    @pytest.mark.parametrize(
+        "crossings, free_loops, value",
+        [
+            (((1.7, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 0, "1.7"),
+            (((True, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 0, "True"),
+            ((("1", 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 0, "'1'"),
+            (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), False, "False"),
+            ((), True, "True"),
+            ((), 1.0, "1.0"),
+            ((), "1", "'1'"),
+        ],
+    )
+    def test_arc_ids_and_free_loops_must_be_integers(self, crossings, free_loops, value):
+        # int() would truncate 1.7 to the left trefoil's arc 1 and read True as 1
+        with pytest.raises(DiagramError, match=r"must be an integer, got " + re.escape(value)):
+            Diagram(crossings, free_loops=free_loops)
 
     def test_errors_name_the_first_offender(self):
         with pytest.raises(ArcOccurrenceError, match=r"^arc 1 occurs 1 time\(s\); every arc"):

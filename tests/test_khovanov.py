@@ -215,24 +215,18 @@ class TestPrunedColumnWalk:
         column_size = len(graph.vertices) + sum(2**size - 1 for size in classes.values())
 
         calls = Counter()
-        requested, flipped = set(), []
-        real_res, real_flip, real_table = khovanov._Ctx.res, khovanov._Ctx._flip, step_table
+        flipped = []
+        real_flip, real_table = khovanov._flip, step_table
 
-        def counting_res(ctx, mask):
-            calls["res"] += 1
-            requested.add(mask)
-            return real_res(ctx, mask)
-
-        def counting_flip(ctx, parent, mask, x):
+        def counting_flip(steps, parent, mask, x):
             flipped.append(mask)
-            return real_flip(ctx, parent, mask, x)
+            return real_flip(steps, parent, mask, x)
 
         def counting_table(*args):
             calls["step_table"] += 1
             return real_table(*args)
 
-        monkeypatch.setattr(khovanov._Ctx, "res", counting_res)
-        monkeypatch.setattr(khovanov._Ctx, "_flip", counting_flip)
+        monkeypatch.setattr(khovanov, "_flip", counting_flip)
         monkeypatch.setattr(khovanov, "step_table", counting_table)
         monkeypatch.setattr(diagram_module, "step_table", counting_table)
         _, j_almax = j_extremes(d)
@@ -240,8 +234,8 @@ class TestPrunedColumnWalk:
         column = build_column(d, j_almax)
         assert sum(len(g) for g in column.generators.values()) == column_size == 23
         assert calls["step_table"] == 1  # one table, and mask 0 traced over it
-        assert sorted(flipped) == sorted(requested - {0})  # every other mask derived once
-        assert calls["res"] < 600 < 2**c
+        assert 0 not in flipped and len(flipped) == len(set(flipped))  # each mask derived once
+        assert len(flipped) < 600 < 2**c
 
 
 class TestResolutionStore:
@@ -256,38 +250,35 @@ class TestResolutionStore:
         yield add_positive_kink(corpus["torus_2_5"], 1)
 
     @staticmethod
-    def assert_match_union_find(d, rng):
-        """``resolve``, ``trace_state`` and ``_Ctx.res`` against the union-find oracle on every mask."""
+    def assert_match_union_find(d):
+        """``resolve``, ``trace_state`` and ``_walk`` against the union-find oracle on every mask."""
         c = d.crossing_count
-        ctx = khovanov._Ctx(d)
+        kept = khovanov._walk(d)
+        assert len(kept) == 2**c
         steps = step_table(d)
-        masks = list(range(1 << c))
-        rng.shuffle(masks)  # parents are not always resolved first
-        for mask in masks:
+        for mask in range(1 << c):
             want = union_find_resolution(d, mask_state(c, mask))
             got = resolve(d, mask_state(c, mask))
             assert got.circles == want.circles
             assert got.end_circle == want.end_circle  # and so the chords
             assert trace_state(steps, mask) == (want.circles, want.end_circle)
-            assert ctx.res(mask) == (want.circles, want.end_circle)
-        return ctx
+            assert kept[mask] == (want.circles, want.end_circle)
+        return kept
 
     def test_derived_resolutions_match_union_find(self, corpus, unknot):
-        rng = random.Random(5)
         for d in list(self.diagrams(corpus)) + [unknot]:
-            self.assert_match_union_find(d, rng)
+            self.assert_match_union_find(d)
 
     def test_non_planar_codes_match_union_find(self):
-        rng = random.Random(7)
         codes = [
             d for d in random_pd_codes(360, seed=11) if face_count(d) != d.crossing_count + 2
         ]
         stays_one = 0
         for d in codes:
-            ctx = self.assert_match_union_find(d, rng)
+            kept = self.assert_match_union_find(d)
             for mask in range(1, 1 << d.crossing_count):
                 parent = mask ^ (1 << (mask.bit_length() - 1))
-                stays_one += len(ctx.res(mask)[0]) == len(ctx.res(parent)[0])
+                stays_one += len(kept[mask][0]) == len(kept[parent][0])
         # a flip on non-planar data can keep one circle one: that branch of _flip runs
         assert len(codes) >= 250 and stays_one >= 800, (len(codes), stays_one)
 

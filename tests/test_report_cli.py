@@ -202,7 +202,7 @@ class TestNonPlanar:
             monkeypatch.setattr(module, "resolve", forbidden)
         monkeypatch.setattr(report_module, "build_state_graph", forbidden)
         monkeypatch.setattr(report_module, "mirror", forbidden)
-        monkeypatch.setattr(khovanov, "_Ctx", forbidden)
+        monkeypatch.setattr(khovanov, "_walk", forbidden)
         for d in non_planar_codes():
             for call in (
                 lambda: analyze_diagram(d),
@@ -441,6 +441,11 @@ class TestCliPps:
         path.write_text(json.dumps(doc))
         assert main(["pps", "validate", str(path)]) == 2
         assert "INVALID" in capsys.readouterr().out
+        assert main(["pps", "validate", str(path), "--format", "json"]) == 2
+        witness = {"dimension": 2, "cell": "T", "i": 0, "j": 1, "left": "v2", "right": "v1"}
+        assert capsys.readouterr().out == (
+            json.dumps({"valid": False, "violation": witness}, indent=2) + "\n"
+        )
         assert main(["pps", "homology", str(path)]) == 2
         assert capsys.readouterr() == (
             "",
