@@ -31,11 +31,11 @@ class AbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
+        if any(t <= 1 for t in self.torsion):
+            raise ValueError("torsion coefficients must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion {self.torsion} violates the divisibility chain")
-        if any(t <= 1 for t in self.torsion):
-            raise ValueError("torsion coefficients must exceed 1")
 
     @property
     def is_trivial(self) -> bool:

@@ -5,7 +5,8 @@ reduction and p1 the cyclomatic number of H: bipartite G gives a wedge of
 p1 spheres S^(c-2) with one S^(c-1); a G with an odd cycle gives p1 - 1
 spheres S^(c-2) wedged with the (c-3)-fold suspension of the projective
 plane.  The single-vertex graph (c = 0) degenerates to S^(-1), the empty
-space.
+space.  Reduced homology is keyed by the degree of the realization alone;
+nothing here knows about diagrams.
 """
 
 from __future__ import annotations
@@ -89,19 +90,3 @@ def suspend(htype: HomotopyType, q: int) -> HomotopyType:
         raise ValueError("suspension count must be >= 0")
     rp2 = None if htype.rp2_suspensions is None else htype.rp2_suspensions + q
     return HomotopyType(spheres=tuple(d + q for d in htype.spheres), rp2_suspensions=rp2)
-
-
-def predicted_homology(
-    htype: HomotopyType, crossing_count: int, circles_all_a: int
-) -> dict[tuple[int, int], AbelianGroup]:
-    """Almost-extreme homology groups keyed by (i, j), from the homotopy type.
-
-    Reduced homology in degree k lands in homological degree
-    i = 2k - crossing_count + 2, all at the almost-maximal j.
-    """
-    j_almax = crossing_count + 2 * circles_all_a - 4
-    table = {}
-    for k, group in htype.reduced_homology().items():
-        i = 2 * k - crossing_count + 2
-        table[(i, j_almax)] = group
-    return table

@@ -30,9 +30,7 @@ from itertools import combinations
 
 from .diagram import (
     Diagram,
-    State,
     check_planar,
-    resolve,
     step_table,
     trace_circle,
     trace_state,
@@ -129,13 +127,6 @@ class LaurentPoly:
 
 #: The unknot value of the bracket state sum: d = -A^2 - A^-2.
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
-
-
-def j_extremes(diagram: Diagram) -> tuple[int, int]:
-    """(j_max, j_almax): c + 2|all-A circles| and four less."""
-    res = resolve(diagram, State.all_a(diagram.crossing_count))
-    j_max = diagram.crossing_count + 2 * res.circle_count
-    return j_max, j_max - 4
 
 
 def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:

@@ -4,6 +4,12 @@ The almost-extreme homology is computed from the closed formula, from the
 cellular chain complex of the associated partial presimplicial set, and
 directly from the enhanced-state complex; the routes must agree group by
 group for the analysis to count as verified.
+
+The two topological routes give reduced homology keyed by the degree k of
+the realization.  ``analyze_diagram`` places both with one map: for a
+diagram with c crossings, degree k is Kh^{i, j_almax} with
+i = 2k - c + 2, and j_almax = j_max - 4 where j_max = c + 2|V(G)| for the
+all-A state graph G.  The direct route files its states by i on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from .diagram import Diagram, InadequateDiagramError, State, check_planar, mirror
 from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
-from .homotopy import HomotopyType, homotopy_type, predicted_homology
+from .homotopy import HomotopyType, homotopy_type
 from .khovanov import column_homology
 from .presimplicial import PartialPresimplicialSet, chain_complex
 from .state_graph import (
@@ -24,7 +30,7 @@ from .state_graph import (
     is_bipartite,
     simple_reduction,
 )
-from .xd import build_xd, khovanov_degree
+from .xd import build_xd
 
 ROUTES = ("formula", "cellular", "direct")
 
@@ -38,8 +44,6 @@ class AnalysisReport:
     b_adequate: bool
     circles_all_b: int
     graph: StateGraph           # all-A state graph of ``diagram``
-    p1: int
-    bipartite: bool
     homotopy: HomotopyType
     tables: dict[str, dict[tuple[int, int], AbelianGroup]]
     xd: PartialPresimplicialSet
@@ -54,6 +58,14 @@ class AnalysisReport:
 
     # the all-A state graph has one vertex per all-A circle
     vertex_count = circles_all_a
+
+    @property
+    def p1(self) -> int:
+        return cyclomatic_number(simple_reduction(self.graph))
+
+    @property
+    def bipartite(self) -> bool:
+        return is_bipartite(self.graph)
 
     @property
     def j_max(self) -> int:
@@ -157,22 +169,7 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
             )
         raise InadequateDiagramError(f"diagram is not semiadequate ({detail})")
 
-    circles_all_a = len(graph.vertices)
-    p1 = cyclomatic_number(simple_reduction(graph))
-    bipartite = is_bipartite(graph)
-    j_almax = c + 2 * circles_all_a - 4
-    htype = homotopy_type(graph)
-
-    formula = predicted_homology(htype, c, circles_all_a)
-
-    xd = build_xd(graph)
-    cellular = {}
-    for k, group in nonzero_groups(homology(chain_complex(xd, reduced=True))).items():
-        cellular[(khovanov_degree(k, c), j_almax)] = group
-
-    direct = column_homology(target, j_almax)
-
-    return AnalysisReport(
+    report = AnalysisReport(
         input_diagram=diagram,
         diagram=target,
         mirrored=mirrored,
@@ -180,12 +177,22 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         b_adequate=b_ok,
         circles_all_b=len(graph_b.vertices),
         graph=graph,
-        p1=p1,
-        bipartite=bipartite,
-        homotopy=htype,
-        tables={"formula": formula, "cellular": cellular, "direct": direct},
-        xd=xd,
+        homotopy=homotopy_type(graph),
+        tables={},
+        xd=build_xd(graph),
     )
+    j_almax = report.j_almax
+
+    def place(groups: dict[int, AbelianGroup]) -> dict[tuple[int, int], AbelianGroup]:
+        """Reduced homology in realization degree k is Kh^{2k - c + 2, j_almax}."""
+        return {(2 * k - c + 2, j_almax): group for k, group in groups.items()}
+
+    report.tables.update(
+        formula=place(report.homotopy.reduced_homology()),
+        cellular=place(nonzero_groups(homology(chain_complex(report.xd, reduced=True)))),
+        direct=column_homology(target, j_almax),
+    )
+    return report
 
 
 def format_homology_table(table: dict[tuple[int, int], AbelianGroup]) -> str:

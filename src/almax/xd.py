@@ -6,7 +6,7 @@ is a strictly increasing (k+1)-tuple of edges whose complement is a
 non-empty part of one parallel class (all remaining edges join one common
 vertex pair).  Face maps drop one edge when doing so stays inside that
 rule.  The construction works for any loopless graph, not only state
-graphs of diagrams.
+graphs of diagrams, and grades cells by dimension alone.
 
 A cell below the top is named by its edge tuple, ``"(v0,v2,v3)"``; a top
 cell by ``str`` of its vertex, which for a diagram's state graph is the
@@ -90,16 +90,3 @@ def build_xd(graph: StateGraph) -> PartialPresimplicialSet:
         )
 
     return PartialPresimplicialSet(top_dim=n, cells=cells, faces=faces)
-
-
-def khovanov_degree(cell_dim: int, crossing_count: int) -> int:
-    """Homological degree carried by a cell of the given dimension.
-
-    A cell of dimension k stands for states with crossing_count - (k+1)
-    B-labels, hence degree 2k - crossing_count + 2.  Dimension -1 (the
-    reduced-homology slot below the cells) is allowed so the dictionary
-    covers the full degree range of the almost-extreme column.
-    """
-    if not -1 <= cell_dim <= max(crossing_count - 1, -1):
-        raise ValueError(f"cell dimension {cell_dim} outside -1..{crossing_count - 1}")
-    return 2 * cell_dim - crossing_count + 2

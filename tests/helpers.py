@@ -207,6 +207,13 @@ def random_pd_codes(count: int, seed: int, max_crossings: int = 4):
     return found
 
 
+def j_extremes(diagram: Diagram) -> tuple[int, int]:
+    """(j_max, j_almax): c + 2|all-A circles| and four less, the circles by ``resolve``."""
+    res = resolve(diagram, State.all_a(diagram.crossing_count))
+    j_max = diagram.crossing_count + 2 * res.circle_count
+    return j_max, j_max - 4
+
+
 def bracket_oracle(diagram: Diagram) -> LaurentPoly:
     """Kauffman bracket as the state sum of A^sigma * d^circles over ``trace_circle_count``."""
     c = diagram.crossing_count

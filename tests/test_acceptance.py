@@ -8,55 +8,35 @@ import random
 
 import pytest
 
-from almax.diagram import State, add_positive_kink, parse_pd, reorder_crossings, resolve
+from almax.diagram import State, add_positive_kink, parse_pd, reorder_crossings
 from almax.homology import AbelianGroup, homology, nonzero_groups
-from almax.homotopy import homotopy_type, predicted_homology
+from almax.homotopy import homotopy_type
 from almax.khovanov import (
     build_column,
     column_homology,
     euler_polynomial,
     full_homology_table,
     generator_rank_table,
-    j_extremes,
     kauffman_bracket,
     shift_table,
 )
 from almax.presimplicial import chain_complex, validate_pps
-from almax.report import analyze_diagram
+from almax.report import ROUTES, analyze_diagram
 from almax.state_graph import StateGraph, build_state_graph, is_a_adequate, is_b_adequate
-from almax.xd import build_xd, khovanov_degree
+from almax.xd import build_xd
 
 from conftest import B_ADEQUATE_ONLY
-from helpers import connected_multigraphs
+from helpers import connected_multigraphs, j_extremes
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 Z3_Z2 = AbelianGroup(3, (2,))
 
 
-def xd_homology_table(diagram):
-    """Reduced cell homology of the all-A structure, keyed by (i, j_almax)."""
-    c = diagram.crossing_count
-    _, j_almax = j_extremes(diagram)
-    graph = build_state_graph(diagram, State.all_a(c))
-    groups = nonzero_groups(homology(chain_complex(build_xd(graph), reduced=True)))
-    return {(khovanov_degree(k, c), j_almax): g for k, g in groups.items()}
-
-
-def formula_table(diagram):
-    c = diagram.crossing_count
-    graph = build_state_graph(diagram, State.all_a(c))
-    circles = resolve(diagram, State.all_a(c)).circle_count
-    return predicted_homology(homotopy_type(graph), c, circles)
-
-
 def three_routes(diagram):
-    _, j_almax = j_extremes(diagram)
-    return (
-        formula_table(diagram),
-        xd_homology_table(diagram),
-        column_homology(diagram, j_almax),
-    )
+    """The formula, cellular and direct tables of one ``analyze_diagram`` run."""
+    tables = analyze_diagram(diagram).tables
+    return tuple(tables[route] for route in ROUTES)
 
 
 def test_criterion_1_reference_group_values(corpus):
@@ -95,10 +75,7 @@ def test_criterion_3_exhaustive_graphs_up_to_five_edges():
         pps = build_xd(graph)
         assert validate_pps(pps) is None
         cellular = nonzero_groups(homology(chain_complex(pps, reduced=True)))
-        c = graph.edge_count
-        predicted = predicted_homology(homotopy_type(graph), c, vertex_count)
-        rekeyed = {(khovanov_degree(k, c), c + 2 * vertex_count - 4): g for k, g in cellular.items()}
-        assert rekeyed == predicted, (vertex_count, edges)
+        assert cellular == homotopy_type(graph).reduced_homology(), (vertex_count, edges)
         checked += 1
     assert checked == 54
     print(f"ACCEPTANCE 3 exhaustive graph check ({checked} graphs): PASS")

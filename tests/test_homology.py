@@ -35,6 +35,13 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(0, (1,))
 
+    def test_zero_or_negative_coefficient_is_value_error(self):
+        # the range check runs before the divisibility check, whose b % a
+        # would divide by a zero coefficient
+        for torsion in ((0, 2), (0,), (2, 0), (-2, 4)):
+            with pytest.raises(ValueError, match="must exceed 1"):
+                AbelianGroup(0, torsion)
+
     def test_canonical_equality(self):
         assert AbelianGroup(1, (2,)) == AbelianGroup(1, (2,))
         assert AbelianGroup(1) != AbelianGroup(0, (2,))

@@ -1,8 +1,9 @@
 import pytest
 
 from almax.homology import AbelianGroup, homology, nonzero_groups
-from almax.homotopy import HomotopyType, homotopy_type, predicted_homology, suspend
+from almax.homotopy import HomotopyType, homotopy_type, suspend
 from almax.presimplicial import chain_complex
+from almax.report import analyze_diagram
 from almax.state_graph import GraphError, StateGraph
 from almax.xd import build_xd
 
@@ -73,16 +74,24 @@ class TestReducedHomology:
 
 
 class TestPredictedHomology:
-    def test_left_trefoil_prediction(self):
-        table = predicted_homology(homotopy_type(TRIANGLE), 3, 3)
+    """The formula's groups by realization degree, and where the report places them.
+
+    Each graph is the all-A state graph of the diagram named in the test.
+    """
+
+    def test_left_trefoil_prediction(self, left_trefoil):
+        assert homotopy_type(TRIANGLE).reduced_homology() == {1: AbelianGroup(0, (2,))}
+        table = analyze_diagram(left_trefoil).tables["formula"]
         assert table == {(1, 5): AbelianGroup(0, (2,))}
 
-    def test_right_trefoil_prediction(self):
-        table = predicted_homology(homotopy_type(DIPOLE3), 3, 2)
+    def test_right_trefoil_prediction(self, right_trefoil):
+        assert homotopy_type(DIPOLE3).reduced_homology() == {2: AbelianGroup(1)}
+        table = analyze_diagram(right_trefoil).tables["formula"]
         assert table == {(3, 3): AbelianGroup(1)}
 
-    def test_figure_eight_prediction(self):
-        table = predicted_homology(homotopy_type(FIGURE_EIGHT_GRAPH), 4, 3)
+    def test_figure_eight_prediction(self, figure_eight):
+        assert homotopy_type(FIGURE_EIGHT_GRAPH).reduced_homology() == {2: AbelianGroup(0, (2,))}
+        table = analyze_diagram(figure_eight).tables["formula"]
         assert table == {(2, 6): AbelianGroup(0, (2,))}
 
     def test_free_rank_and_torsion_budget(self):

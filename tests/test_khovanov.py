@@ -29,10 +29,10 @@ from almax.khovanov import (
     framed_to_oriented,
     full_homology_table,
     generator_rank_table,
-    j_extremes,
     kauffman_bracket,
     shift_table,
 )
+from almax.report import analyze_diagram
 from almax.state_graph import build_state_graph, is_a_adequate, is_b_adequate
 from helpers import (
     almost_extreme_generators,
@@ -41,6 +41,7 @@ from helpers import (
     enhanced_census,
     face_count,
     gradings,
+    j_extremes,
     mask_state,
     named_generator,
     random_pd_codes,
@@ -151,6 +152,12 @@ class TestJExtremes:
 
     def test_unknot(self, unknot):
         assert j_extremes(unknot) == (2, -2)
+
+    def test_report_places_the_same_j(self, corpus, unknot):
+        for name, d in {**corpus, "unknot": unknot}.items():
+            if is_a_adequate(d):
+                report = analyze_diagram(d)
+                assert (report.j_max, report.j_almax) == j_extremes(d), name
 
 
 class TestBuildColumn:

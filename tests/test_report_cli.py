@@ -45,6 +45,17 @@ def long_inline_code() -> str:
     return code
 
 
+# label -> the analyze arguments before --format; each output is pinned in
+# tests/data/analyze/<label>.txt and .json, graph names, p1, j values and
+# the three tables included
+PINNED_ANALYZE = {
+    "unknot": ["UNKNOT"],
+    "left_trefoil": [LEFT_TREFOIL],
+    "10_44_kink": [to_pd_text(add_positive_kink(parse_pd(KNOT_10_44), 3))],
+    "b_only_mirrored": [B_ADEQUATE_ONLY, "--auto-mirror"],
+}
+
+
 class TestAnalyzeDiagram:
     def test_left_trefoil(self, left_trefoil):
         report = analyze_diagram(left_trefoil)
@@ -79,7 +90,7 @@ class TestAnalyzeDiagram:
 
         resolve_spy = counting("resolve", diagram_module.resolve)
         mirror_spy = counting("mirror", diagram_module.mirror)
-        for module in (diagram_module, khovanov, state_graph):
+        for module in (diagram_module, state_graph):
             monkeypatch.setattr(module, "resolve", resolve_spy)
         for module in (diagram_module, report_module, state_graph):
             monkeypatch.setattr(module, "mirror", mirror_spy)
@@ -198,7 +209,7 @@ class TestNonPlanar:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done on a non-planar code")
 
-        for module in (diagram_module, khovanov, state_graph):
+        for module in (diagram_module, state_graph):
             monkeypatch.setattr(module, "resolve", forbidden)
         monkeypatch.setattr(report_module, "build_state_graph", forbidden)
         monkeypatch.setattr(report_module, "mirror", forbidden)
@@ -325,6 +336,15 @@ class TestCliAnalyze:
 
     def test_disconnected_input_exit_code(self, capsys):
         assert main(["analyze", "X(1,1,2,2);X(3,3,4,4)"]) == 2
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", PINNED_ANALYZE)
+    def test_analyze_output_bytes_are_pinned(self, capsys, name, fmt, suffix):
+        argv = ["analyze", *PINNED_ANALYZE[name], "--format", fmt]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode() == (DATA / "analyze" / f"{name}.{suffix}").read_bytes()
 
     def test_cross_check_failure_exit_code(self, monkeypatch, capsys, left_trefoil):
         import almax.cli as cli_module

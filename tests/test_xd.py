@@ -8,7 +8,7 @@ import almax.presimplicial
 import almax.xd
 from almax.presimplicial import chain_complex, pps_to_json, pps_to_json_dict, validate_pps
 from almax.state_graph import GraphError, StateGraph, build_state_graph, is_a_adequate
-from almax.xd import build_xd, khovanov_degree
+from almax.xd import build_xd
 from helpers import connected_multigraphs, torus_two_strand, xd_oracle
 
 from conftest import CORPUS
@@ -130,25 +130,6 @@ class TestDegenerateAndErrors:
         g = StateGraph(vertices=("a", "b", "c"), edges=(("a", "b"),))
         with pytest.raises(GraphError):
             build_xd(g)
-
-
-class TestKhovanovDegree:
-    def test_top_cells_carry_degree_c(self):
-        for c in range(1, 8):
-            assert khovanov_degree(c - 1, c) == c
-
-    def test_codimension_one(self):
-        for c in range(2, 8):
-            assert khovanov_degree(c - 2, c) == c - 2
-
-    def test_unknot_slot(self):
-        assert khovanov_degree(-1, 0) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            khovanov_degree(3, 3)
-        with pytest.raises(ValueError):
-            khovanov_degree(-2, 3)
 
 
 class TestStructuralCounts:
