@@ -7,9 +7,8 @@ removes one generator from two neighbouring degrees, Schur-updates the
 boundary that held the pivot and only deletes a row or column from the
 boundaries next to it, so every generator is eliminated at most once.
 ``smith_normal_form`` cancels the +-1 entries of one matrix the same way.
-Whatever is left has no unit entries and is finished off by the classical
-least-entry pivot algorithm, run modulo the determinant of a non-singular
-rank x rank minor so that its entries stay bounded.
+Whatever is left has no unit entries and is finished off, on the same
+dict-of-rows, by the classical least-entry pivot algorithm.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, dense) -> "IntMatrix":
-        dense = [list(row) for row in dense]
         m = cls(len(dense), len(dense[0]) if dense else 0)
         for r, row in enumerate(dense):
             for c, v in enumerate(row):
@@ -89,13 +87,6 @@ class IntMatrix:
             row.pop(c, None)
             if not row:
                 del self.data[r]
-
-    def to_rows(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, row in self.data.items():
-            for c, v in row.items():
-                dense[r][c] = v
-        return dense
 
     @property
     def nnz(self) -> int:
@@ -127,122 +118,6 @@ class IntMatrix:
 
 def _as_matrix(matrix) -> IntMatrix:
     return matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
-
-
-def _rank_and_minor(dense: list[list[int]]) -> tuple[int, int]:
-    """Rank r of an integer matrix and |det| of one of its non-singular r x r minors.
-
-    Fraction-free (Bareiss) elimination to row echelon form: every
-    intermediate entry is a minor of the input, so the division is exact
-    and the numbers stay as small as the minors.
-    """
-    m = [row[:] for row in dense]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        top = m[r]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            a = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (p * row[j] - a * top[j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r, abs(prev)
-
-
-def _dense_invariant_factors(dense: list[list[int]]) -> list[int]:
-    """Classical SNF on a small dense matrix, modulo D; pivot = least non-zero entry.
-
-    Ties break row-major.  Returns the non-zero invariant factors.  D is
-    the |det| of a non-singular rank x rank minor, so d1 * ... * dr
-    divides D.  Reducing an entry modulo D adds a vector of the lattice
-    D * Z^rows to the column span, whose factors are then gcd(d_i, D) = d_i
-    followed by D; every entry stays below D, so the numbers cannot blow up.
-    """
-    rank, det = _rank_and_minor(dense)
-    if det == 1:
-        return [1] * rank
-    m = [[v % det for v in row] for row in dense]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    factors: list[int] = []
-    s = 0
-    while s < min(nrows, ncols):
-        pivot = None
-        best = None
-        for r in range(s, nrows):
-            for c in range(s, ncols):
-                v = m[r][c]
-                if v and (best is None or v < best):
-                    best, pivot = v, (r, c)
-                    if v == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        pr, pc = pivot
-        m[s], m[pr] = m[pr], m[s]
-        for row in m:
-            row[s], row[pc] = row[pc], row[s]
-        while True:
-            p = m[s][s]
-            dirty = False
-            for r in range(s + 1, nrows):
-                if m[r][s]:
-                    q = m[r][s] // p
-                    if q:
-                        for c in range(s, ncols):
-                            m[r][c] = (m[r][c] - q * m[s][c]) % det
-                    if m[r][s]:  # remainder becomes the new, smaller pivot
-                        m[s], m[r] = m[r], m[s]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for c in range(s + 1, ncols):
-                if m[s][c]:
-                    q = m[s][c] // p
-                    if q:
-                        for r in range(s, nrows):
-                            m[r][c] = (m[r][c] - q * m[r][s]) % det
-                    if m[s][c]:
-                        for r in range(s, nrows):
-                            m[r][s], m[r][c] = m[r][c], m[r][s]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        p = m[s][s]
-        # enforce divisibility: fold any non-divisible entry into the pivot row
-        offender = None
-        for r in range(s + 1, nrows):
-            for c in range(s + 1, ncols):
-                if m[r][c] % p:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for c in range(s, ncols):
-                m[s][c] = (m[s][c] + m[offender][c]) % det
-            continue
-        factors.append(p)
-        s += 1
-    # the factors of the lattice spanned by the columns and D * Z^rows
-    lattice = sorted(math.gcd(f, det) for f in factors) + [det] * (nrows - len(factors))
-    return lattice[:rank]
 
 
 def _cancel_units(rows: dict[int, dict[int, int]]) -> tuple[list[int], list[int]]:
@@ -307,6 +182,55 @@ def _compact(rows: dict[int, dict[int, int]]) -> IntMatrix:
     return m
 
 
+def _finish(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Invariant factors of a dict-of-rows matrix by least-entry pivoting; empties ``rows``.
+
+    The pivot p is an entry of least absolute value.  Row operations reduce
+    every other entry of its column modulo p; if a remainder is left, it is
+    smaller than p and the next round starts from it.  Reducing the whole
+    column first leaves all of it below |p|, so the next pivot needs only
+    small multipliers; moving on at the first remainder lets the entries
+    blow up (to a million bits on a 24 x 29 leftover).  Once the column is
+    clear, column operations reduce the pivot row modulo p and touch no
+    other row; a row holding only its pivot adds |p| to the diagonal, and
+    any other entry it keeps is smaller than p.  Each round thus removes a
+    row or lowers the least |entry|, so the loop ends.  diag(a, b) ~
+    diag(gcd, lcm) turns the diagonal into the chain d1 | d2 | ....
+    """
+    diagonal: list[int] = []
+    while rows:
+        _, r0, c0 = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        pivot_row = rows[r0]
+        p = pivot_row[c0]
+        clear = True
+        for r in [r for r, row in rows.items() if c0 in row and r != r0]:
+            row = rows[r]
+            q = row[c0] // p
+            for c, v in pivot_row.items():
+                new = row.get(c, 0) - q * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            if not row:
+                del rows[r]
+            elif c0 in row:
+                clear = False
+        if clear:
+            rest = {c: v % p for c, v in pivot_row.items() if v % p}
+            if rest:
+                rows[r0] = {c0: p, **rest}
+            else:
+                diagonal.append(abs(p))
+                del rows[r0]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            g = math.gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return diagonal
+
+
 def smith_normal_form(matrix) -> tuple[int, ...]:
     """Non-zero diagonal of the Smith normal form of an integer matrix.
 
@@ -314,13 +238,11 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     of invariant factors d1 | d2 | ...; its length is the rank.  An empty
     or zero matrix yields an empty diagonal.  Every matrix takes the same
     path: +-1 pivots are cancelled first (each an invariant factor 1), and
-    the classical dense algorithm finishes the leftover.
+    ``_finish`` pivots on least entries of the leftover.
     """
-    m = _as_matrix(matrix)
-    rows = {r: dict(row) for r, row in m.data.items()}
+    rows = {r: dict(row) for r, row in _as_matrix(matrix).data.items()}
     pivots, _ = _cancel_units(rows)
-    tail = _dense_invariant_factors(_compact(rows).to_rows()) if rows else []
-    return (1,) * len(pivots) + tuple(tail)
+    return (1,) * len(pivots) + tuple(_finish(rows))
 
 
 @dataclass

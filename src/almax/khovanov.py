@@ -425,11 +425,6 @@ def full_homology_table(
     return table, _bracket(_histogram(kept, c))
 
 
-def shift_table(table: dict, di: int, dj: int) -> dict:
-    """Re-key a (i, j)-indexed table by (i + di, j + dj)."""
-    return {(i + di, j + dj): v for (i, j), v in table.items()}
-
-
 def _check_limit(diagram: Diagram, limit: int | None) -> None:
     if limit is not None and diagram.crossing_count > limit:
         raise TableSizeError(

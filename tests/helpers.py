@@ -2,10 +2,12 @@
 
 The resolution oracle finds circles by a union-find over arc ends, where
 the package traces them; the circle-count oracle counts the cycles of a
-composed permutation; the SNF oracle recovers invariant factors from gcds
-of k x k minors.  All are deliberately different algorithms from the ones
-inside the package, and each writes down the smoothing convention on its
-own.  The enhanced-state oracles resolve every state from scratch with
+composed permutation; the SNF oracles recover invariant factors from
+gcds of k x k minors, and by a dense least-entry algorithm run modulo
+the determinant of a non-singular rank x rank minor.  All are
+deliberately different algorithms from the ones inside the package, and
+each writes down the smoothing convention on its own.  The
+enhanced-state oracles resolve every state from scratch with
 ``resolve``, never through the package's incremental resolution store;
 the reference differential resolves with the union-find and writes the
 merge/split sign rules down on its own.  ``push_arc_over`` is a
@@ -20,7 +22,7 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations
 
 from almax.diagram import Diagram, DiagramError, Resolution, State, resolve
-from almax.homology import AbelianGroup
+from almax.homology import AbelianGroup, IntMatrix
 from almax.khovanov import LOOP_VALUE, LaurentPoly
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
 from almax.state_graph import StateGraph, is_a_adequate
@@ -212,6 +214,11 @@ def j_extremes(diagram: Diagram) -> tuple[int, int]:
     res = resolve(diagram, State.all_a(diagram.crossing_count))
     j_max = diagram.crossing_count + 2 * res.circle_count
     return j_max, j_max - 4
+
+
+def shift_table(table: dict, di: int, dj: int) -> dict:
+    """Re-key a (i, j)-indexed table by (i + di, j + dj)."""
+    return {(i + di, j + dj): v for (i, j), v in table.items()}
 
 
 def bracket_oracle(diagram: Diagram) -> LaurentPoly:
@@ -557,7 +564,132 @@ MALFORMED_PPS = {
 }
 
 
-# --- SNF oracle ---------------------------------------------------------------
+# --- SNF oracles --------------------------------------------------------------
+
+
+def to_rows(matrix: IntMatrix) -> list[list[int]]:
+    """The dense list-of-rows form of an ``IntMatrix``."""
+    dense = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for r, row in matrix.data.items():
+        for c, v in row.items():
+            dense[r][c] = v
+    return dense
+
+
+def _rank_and_minor(dense: list[list[int]]) -> tuple[int, int]:
+    """Rank r of an integer matrix and |det| of one of its non-singular r x r minors.
+
+    Fraction-free (Bareiss) elimination to row echelon form: every
+    intermediate entry is a minor of the input, so the division is exact
+    and the numbers stay as small as the minors.
+    """
+    m = [row[:] for row in dense]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        top = m[r]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, abs(prev)
+
+
+def dense_invariant_factors(dense: list[list[int]]) -> list[int]:
+    """Classical SNF on a small dense matrix, modulo D; pivot = least non-zero entry.
+
+    Ties break row-major.  Returns the non-zero invariant factors.  D is
+    the |det| of a non-singular rank x rank minor, so d1 * ... * dr
+    divides D.  Reducing an entry modulo D adds a vector of the lattice
+    D * Z^rows to the column span, whose factors are then gcd(d_i, D) = d_i
+    followed by D; every entry stays below D, so the numbers cannot blow up.
+    """
+    rank, det = _rank_and_minor(dense)
+    if det == 1:
+        return [1] * rank
+    m = [[v % det for v in row] for row in dense]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    factors: list[int] = []
+    s = 0
+    while s < min(nrows, ncols):
+        pivot = None
+        best = None
+        for r in range(s, nrows):
+            for c in range(s, ncols):
+                v = m[r][c]
+                if v and (best is None or v < best):
+                    best, pivot = v, (r, c)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pr, pc = pivot
+        m[s], m[pr] = m[pr], m[s]
+        for row in m:
+            row[s], row[pc] = row[pc], row[s]
+        while True:
+            p = m[s][s]
+            dirty = False
+            for r in range(s + 1, nrows):
+                if m[r][s]:
+                    q = m[r][s] // p
+                    if q:
+                        for c in range(s, ncols):
+                            m[r][c] = (m[r][c] - q * m[s][c]) % det
+                    if m[r][s]:  # remainder becomes the new, smaller pivot
+                        m[s], m[r] = m[r], m[s]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for c in range(s + 1, ncols):
+                if m[s][c]:
+                    q = m[s][c] // p
+                    if q:
+                        for r in range(s, nrows):
+                            m[r][c] = (m[r][c] - q * m[r][s]) % det
+                    if m[s][c]:
+                        for r in range(s, nrows):
+                            m[r][s], m[r][c] = m[r][c], m[r][s]
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        p = m[s][s]
+        # enforce divisibility: fold any non-divisible entry into the pivot row
+        offender = None
+        for r in range(s + 1, nrows):
+            for c in range(s + 1, ncols):
+                if m[r][c] % p:
+                    offender = r
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for c in range(s, ncols):
+                m[s][c] = (m[s][c] + m[offender][c]) % det
+            continue
+        factors.append(p)
+        s += 1
+    # the factors of the lattice spanned by the columns and D * Z^rows
+    lattice = sorted(math.gcd(f, det) for f in factors) + [det] * (nrows - len(factors))
+    return lattice[:rank]
 
 
 def _det(matrix) -> int:
@@ -611,7 +743,7 @@ def homology_minor_gcd(complex_) -> dict:
     def factors(k):
         if k not in complex_.boundaries:
             return ()
-        return snf_minor_gcd(complex_.boundaries[k].to_rows())
+        return snf_minor_gcd(to_rows(complex_.boundaries[k]))
 
     groups = {}
     for k, n in complex_.ranks.items():

@@ -18,7 +18,6 @@ from almax.khovanov import (
     full_homology_table,
     generator_rank_table,
     kauffman_bracket,
-    shift_table,
 )
 from almax.presimplicial import chain_complex, validate_pps
 from almax.report import ROUTES, analyze_diagram
@@ -26,7 +25,7 @@ from almax.state_graph import StateGraph, build_state_graph, is_a_adequate, is_b
 from almax.xd import build_xd
 
 from conftest import B_ADEQUATE_ONLY
-from helpers import connected_multigraphs, j_extremes
+from helpers import connected_multigraphs, j_extremes, shift_table
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))

@@ -56,6 +56,14 @@ class TestParse:
         with pytest.raises(PDSyntaxError):
             parse_pd("")
 
+    @pytest.mark.parametrize("zero", [0x0660, 0xFF10])
+    def test_non_ascii_digits_rejected(self, zero):
+        # Arabic-Indic and full-width digits: int() reads them, the PD grammar does not
+        code = LEFT_TREFOIL.translate({ord("0") + i: zero + i for i in range(10)})
+        assert code != LEFT_TREFOIL
+        with pytest.raises(PDSyntaxError):
+            parse_pd(code)
+
     def test_arc_occurring_once_rejected(self):
         with pytest.raises(ArcOccurrenceError):
             parse_pd("X(1,2,3,4);X(4,3,2,5)")

@@ -7,12 +7,17 @@ from almax.homology import (
     IntegerChainComplex,
     IntMatrix,
     _cancel_units,
-    _dense_invariant_factors,
     homology,
     nonzero_groups,
     smith_normal_form,
 )
-from helpers import homology_minor_gcd, invariant_factors, snf_minor_gcd
+from helpers import (
+    dense_invariant_factors,
+    homology_minor_gcd,
+    invariant_factors,
+    snf_minor_gcd,
+    to_rows,
+)
 
 # boundary of the projective-plane cell structure: T0 -> r0+r2, T1 -> -r1+r2, T2 -> r0-r1
 RP2_BOUNDARY = [
@@ -77,17 +82,17 @@ class TestSmithNormalForm:
             assert smith_normal_form(dense) == snf_minor_gcd(dense), dense
 
     def test_sparse_path_agrees_with_dense(self):
-        # unit cancellation followed by the dense tail, against the dense algorithm alone
+        # unit cancellation followed by the finisher, against the dense algorithm alone
         rng = random.Random(7)
         size = 80
         entries = {}
         for _ in range(400):
             entries[(rng.randrange(size), rng.randrange(size))] = rng.choice([-1, 1, 1, 2])
         big = IntMatrix(size, size, entries)
-        assert smith_normal_form(big) == tuple(_dense_invariant_factors(big.to_rows()))
+        assert smith_normal_form(big) == tuple(dense_invariant_factors(to_rows(big)))
 
     def test_large_matrix_with_non_unit_entries_agrees_with_dense(self):
-        # 70 x 75 = 5250 cells; many entries are not units, so a dense tail is left
+        # 70 x 75 = 5250 cells; many entries are not units, so a unit-free leftover remains
         rng = random.Random(29)
         rows, cols = 70, 75
         entries = {}
@@ -95,7 +100,37 @@ class TestSmithNormalForm:
             entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice([-1, 1, -2, 2, 3])
         big = IntMatrix(rows, cols, entries)
         assert rows * cols > 4096
-        assert smith_normal_form(big) == tuple(_dense_invariant_factors(big.to_rows()))
+        assert smith_normal_form(big) == tuple(dense_invariant_factors(to_rows(big)))
+
+    @pytest.mark.parametrize(
+        "dense, factors",
+        [
+            ([[2, 0], [0, 3]], (1, 6)),  # diag(2, 3) ~ diag(gcd, lcm)
+            ([[4, 0], [0, 6]], (2, 12)),
+            ([[4, 6], [6, 9]], (1,)),  # 6 - 4 leaves a remainder 2 in the pivot column
+            ([[-2, 3], [4, 5]], (1, 22)),  # the least entry is negative
+            ([[-6, 0], [0, -4]], (2, 12)),
+        ],
+    )
+    def test_unit_free_finisher_known_answers(self, dense, factors):
+        assert smith_normal_form(dense) == factors
+        assert snf_minor_gcd(dense) == factors
+
+    def test_unit_free_finisher_agrees_with_oracles(self):
+        # no entry is +-1, so no unit is cancelled and the finisher does all the work
+        rng = random.Random(1406)
+        values = [sign * v for v in (2, 3, 4, 6, 9, 10) for sign in (1, -1)]
+        for trial in range(150):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.choice((0.2, 0.5, 1.0))
+            dense = [
+                [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            got = smith_normal_form(dense)
+            assert got == tuple(dense_invariant_factors(dense)), dense
+            if rows <= 4 and cols <= 4:
+                assert got == snf_minor_gcd(dense), dense
 
     def test_unit_created_in_a_scanned_column_is_cancelled(self):
         # column 0 has no unit when scanned; pivoting on (0, 1) turns 3 into 3 - 2 = 1 there
@@ -116,14 +151,14 @@ class TestSmithNormalForm:
             assert all(v not in (1, -1) for row in left.values() for v in row.values())
             assert not set(pivot_rows) & set(left)
             assert not {c for row in left.values() for c in row} & set(pivot_cols)
-            assert smith_normal_form(m) == tuple(_dense_invariant_factors(m.to_rows()))
+            assert smith_normal_form(m) == tuple(dense_invariant_factors(to_rows(m)))
 
 
 class TestIntMatrix:
     def test_compose(self):
         a = IntMatrix.from_rows([[1, 2], [0, 1]])
         b = IntMatrix.from_rows([[1, 0], [3, 1]])
-        assert a.compose(b).to_rows() == [[7, 2], [3, 1]]
+        assert to_rows(a.compose(b)) == [[7, 2], [3, 1]]
 
     def test_entries_accumulate(self):
         m = IntMatrix(2, 2)

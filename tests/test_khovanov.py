@@ -30,7 +30,6 @@ from almax.khovanov import (
     full_homology_table,
     generator_rank_table,
     kauffman_bracket,
-    shift_table,
 )
 from almax.report import analyze_diagram
 from almax.state_graph import build_state_graph, is_a_adequate, is_b_adequate
@@ -47,6 +46,7 @@ from helpers import (
     random_pd_codes,
     random_reidemeister_two,
     reference_differential,
+    shift_table,
     sign_map,
     torus_two_strand,
     union_find_resolution,

@@ -320,6 +320,14 @@ class TestCliAnalyze:
     def test_malformed_input_is_usage_error(self, capsys):
         assert main(["analyze", "X(1,2,3)"]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "table"])
+    def test_non_ascii_digits_are_one_error_line(self, capsys, command):
+        full_width = LEFT_TREFOIL.translate({ord(d): ord(d) + 0xFEE0 for d in "0123456789"})
+        assert main([command, full_width]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_long_inline_code_is_read_as_pd_text(self, capsys):
         assert main(["analyze", long_inline_code(), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
