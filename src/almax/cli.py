@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and three-route agreement for analyze), 1 usage or
 malformed input, 2 inadequate, disconnected or non-planar diagram or
-axiom-violating PPS, 3 cross-check failure.
+axiom-violating PPS, 3 cross-check failure (routes that disagree, a
+failed Euler identity, or boundaries that do not compose to zero).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .diagram import (
     diagram_from_json_dict,
     parse_pd,
 )
-from .homology import homology, nonzero_groups
+from .homology import ChainComplexError, homology, nonzero_groups
 from .khovanov import (
     DEFAULT_TABLE_LIMIT,
     TableSizeError,
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
     except (InadequateDiagramError, DisconnectedDiagramError, NonPlanarDiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM
+    except ChainComplexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     except (PDSyntaxError, PPSError, TableSizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

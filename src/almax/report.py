@@ -76,9 +76,16 @@ class AnalysisReport:
         return self.j_max - 4
 
     @property
+    def disagreements(self) -> list[tuple[int, int]]:
+        """The (i, j) keys at which some two routes give different groups, sorted."""
+        keys = {k for t in self.tables.values() for k in t}
+        return sorted(
+            k for k in keys if len({self.tables[route].get(k) for route in ROUTES}) > 1
+        )
+
+    @property
     def agreement(self) -> bool:
-        first = self.tables[ROUTES[0]]
-        return all(self.tables[route] == first for route in ROUTES[1:])
+        return not self.disagreements
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -99,6 +106,8 @@ class AnalysisReport:
             "homology": {route: render_table_json(self.tables[route]) for route in ROUTES},
             "agreement": self.agreement,
         }
+        if not self.agreement:
+            doc["disagreements"] = [f"{i},{j}" for i, j in self.disagreements]
         if self.mirrored:
             doc["input_diagram"] = diagram_to_json_dict(self.input_diagram)
         return doc
@@ -129,7 +138,11 @@ class AnalysisReport:
                 if (i, j) in self.tables[route]
             )
             lines.append(f"  {route:<9}{entries or '(all trivial)'}")
-        lines.append(f"agreement: {'yes' if self.agreement else 'NO - routes differ'}")
+        if self.agreement:
+            lines.append("agreement: yes")
+        else:
+            where = ", ".join(f"({i},{j})" for i, j in self.disagreements)
+            lines.append(f"agreement: NO - routes differ at {where}")
         return "\n".join(lines)
 
 

@@ -1,23 +1,33 @@
+import importlib
 import random
 
 import pytest
 
+from almax.diagram import parse_pd
 from almax.homology import (
     AbelianGroup,
+    ChainComplexError,
     IntegerChainComplex,
     IntMatrix,
     _cancel_units,
+    _index,
     homology,
     nonzero_groups,
     smith_normal_form,
 )
+from almax.khovanov import build_column, full_homology_table, generator_rank_table
+from conftest import KNOT_10_44
 from helpers import (
     dense_invariant_factors,
     homology_minor_gcd,
     invariant_factors,
     snf_minor_gcd,
     to_rows,
+    torus_two_strand,
 )
+
+# ``almax.homology`` the module; the package exports the function of that name
+homology_module = importlib.import_module("almax.homology")
 
 # boundary of the projective-plane cell structure: T0 -> r0+r2, T1 -> -r1+r2, T2 -> r0-r1
 RP2_BOUNDARY = [
@@ -132,11 +142,29 @@ class TestSmithNormalForm:
             if rows <= 4 and cols <= 4:
                 assert got == snf_minor_gcd(dense), dense
 
-    def test_unit_created_in_a_scanned_column_is_cancelled(self):
-        # column 0 has no unit when scanned; pivoting on (0, 1) turns 3 into 3 - 2 = 1 there
-        rows = {0: {0: 2, 1: 1}, 1: {0: 3, 1: 1}}
-        assert _cancel_units(rows) == ([0, 1], [1, 0])
+    def test_unit_created_in_a_scanned_row_is_cancelled(self):
+        # rows are scanned from the last: row 1 has no unit then; the pivot at (0, 0)
+        # (both columns hold two rows, so the lower column wins) turns its 3 into
+        # 3 - 2 = 1, and the rescan pivots there
+        class ScannedRow(dict):
+            scans = 0
+
+            def items(self):
+                self.scans += 1
+                return super().items()
+
+        row_1 = ScannedRow({0: 2, 1: 3})
+        rows = {0: {0: 1, 1: 1}, 1: row_1}
+        assert _cancel_units(rows, {0: {0, 1}, 1: {0, 1}}) == ([0, 1], [0, 1])
         assert rows == {}
+        assert row_1.scans == 2
+
+    def test_pivot_column_is_the_shortest(self):
+        # row 1 is scanned first; its units sit in column 0 (two rows) and
+        # column 1 (one row), so it pivots on column 1 and row 0 is not updated
+        rows, col_rows = _index({0: {0: 2}, 1: {0: 1, 1: 1}}, range(2))
+        assert _cancel_units(rows, col_rows) == ([1], [1])
+        assert rows == {0: {0: 2}}
 
     def test_unit_cancellation_leaves_no_unit_entry(self):
         rng = random.Random(41)
@@ -146,9 +174,10 @@ class TestSmithNormalForm:
             for _ in range(rng.randint(10, 3 * (rows + cols))):
                 entries[(rng.randrange(rows), rng.randrange(cols))] = rng.choice([-1, 1, 2, -3])
             m = IntMatrix(rows, cols, entries)
-            left = {r: dict(row) for r, row in m.data.items()}
-            pivot_rows, pivot_cols = _cancel_units(left)
+            left, col_rows = _index(m.data, range(cols))
+            pivot_rows, pivot_cols = _cancel_units(left, col_rows)
             assert all(v not in (1, -1) for row in left.values() for v in row.values())
+            assert {c: rs for c, rs in col_rows.items() if rs} == _index(left, range(cols))[1]
             assert not set(pivot_rows) & set(left)
             assert not {c for row in left.values() for c in row} & set(pivot_cols)
             assert smith_normal_form(m) == tuple(dense_invariant_factors(to_rows(m)))
@@ -192,7 +221,7 @@ class TestHomology:
 
     def test_composition_checked(self):
         bad = make_complex({2: 1, 1: 1, 0: 1}, {2: [[1]], 1: [[1]]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ChainComplexError, match="degree 2 is non-zero"):
             homology(bad)
 
     def test_step_two(self):
@@ -323,3 +352,54 @@ class TestCancellationKnownAnswers:
             )
         # the bases mix pieces, so cancelling takes Schur updates, not just deletions
         assert mixed >= 40
+
+
+def shuffled_generators(cx: IntegerChainComplex, rng: random.Random) -> IntegerChainComplex:
+    """``cx`` with the generators of each degree put in a random order."""
+    where = {k: rng.sample(range(n), n) for k, n in cx.ranks.items()}  # old -> new position
+    boundaries = {}
+    for k, m in cx.boundaries.items():
+        rows, cols = where.get(k - cx.step, []), where[k]
+        entries = {(rows[r], cols[c]): v for r, row in m.data.items() for c, v in row.items()}
+        boundaries[k] = IntMatrix(m.rows, m.cols, entries)
+    return IntegerChainComplex(ranks=cx.ranks, boundaries=boundaries, step=cx.step)
+
+
+class TestKhovanovComplexes:
+    @pytest.mark.parametrize(
+        "diagram", [parse_pd(KNOT_10_44), torus_two_strand(8)], ids=["10_44", "T(2,8)"]
+    )
+    def test_generator_order_does_not_change_the_groups(self, diagram):
+        # the pivot rule scans rows in order, so each order takes its own pivots
+        rng = random.Random(1044)
+        js = sorted({j for _, j in generator_rank_table(diagram)})
+        torsion = 0
+        for j in js:
+            cx = build_column(diagram, j).complex()
+            reference = homology(cx)
+            torsion += sum(len(g.torsion) for g in reference.values())
+            for _ in range(3):
+                assert homology(shuffled_generators(cx, rng)) == reference, j
+        assert torsion > 0
+
+    def test_fill_in_on_the_t29_table(self, monkeypatch):
+        # new keys written into the rows by Schur updates; taking columns in
+        # order with the shortest unit row wrote 75,100 here
+        written = 0
+
+        class CountingRow(dict):
+            def __setitem__(self, c, v):
+                nonlocal written
+                written += c not in self
+                super().__setitem__(c, v)
+
+        real = homology_module._cancel_units
+
+        def counting(rows, col_rows):
+            for r in rows:
+                rows[r] = CountingRow(rows[r])
+            return real(rows, col_rows)
+
+        monkeypatch.setattr(homology_module, "_cancel_units", counting)
+        full_homology_table(torus_two_strand(9))
+        assert 0 < written <= 8000

@@ -363,6 +363,21 @@ class TestCliAnalyze:
         assert main(["analyze", LEFT_TREFOIL]) == 3
         assert "NO" in capsys.readouterr().out
 
+    def test_disagreement_keys_are_named(self, monkeypatch, capsys, left_trefoil):
+        assert "disagreements" not in analyze_diagram(left_trefoil).to_json_dict()
+        real = analyze_diagram(left_trefoil)
+        real.tables["cellular"] = {(1, 5): AbelianGroup(0, (2,)), (3, 5): AbelianGroup(1)}
+        real.tables["direct"] = {(1, 5): AbelianGroup(1)}
+        monkeypatch.setattr(cli_module, "analyze_diagram", lambda *a, **k: real)
+        assert real.disagreements == [(1, 5), (3, 5)]
+        assert main(["analyze", LEFT_TREFOIL]) == 3
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "agreement: NO - routes differ at (1,5), (3,5)"
+        assert main(["analyze", LEFT_TREFOIL, "--format", "json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agreement"] is False
+        assert doc["disagreements"] == ["1,5", "3,5"]
+
 
 # label -> (inline diagram JSON, the value its error message must name)
 NON_INTEGER_DIAGRAM_JSON = {
@@ -381,6 +396,29 @@ def test_non_integer_diagram_json_is_one_error_line(capsys, command, doc, value)
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and value in line
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", LEFT_TREFOIL], ["analyze", FIGURE_EIGHT]], ids=["table", "analyze"]
+)
+def test_boundaries_that_do_not_compose_to_zero_exit_3(monkeypatch, capsys, argv):
+    # dropping the incidence signs breaks d∘d = 0 in the enhanced-state complex
+    real = khovanov._boundary
+
+    def unsigned(*args):
+        mat = real(*args)
+        for row in mat.data.values():
+            for c, v in row.items():
+                row[c] = abs(v)
+        return mat
+
+    monkeypatch.setattr(khovanov, "_boundary", unsigned)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: boundary composition at degree ")
+    assert line.endswith(" is non-zero")
 
 
 class TestCliTable:
