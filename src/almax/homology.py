@@ -16,7 +16,16 @@ columns in order and pivoting on the shortest unit row writes 75,100.
 Whatever is left has no unit entries and is finished off, on the same
 dict-of-rows, by the classical least-entry pivot algorithm.
 
-A boundary composition that is not zero raises ``ChainComplexError``.
+``homology`` assumes that the boundaries compose to zero and does not
+multiply them to check it: each builder certifies its own complex once.
+The Khovanov table checks d∘d square by square on the cube of resolutions
+(``khovanov._check_squares``); the direct route's single column calls
+``IntegerChainComplex.check_composition``, which multiplies neighbouring
+boundaries row by row and stops at the first non-zero row; and the
+cellular complex of a partial presimplicial set satisfies it by the
+face-map axiom that ``presimplicial.chain_complex`` validates.  A failed
+check raises ``ChainComplexError``, and so does a negative free rank in
+``homology``.
 """
 
 from __future__ import annotations
@@ -106,23 +115,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def compose(self, other: "IntMatrix") -> "IntMatrix":
-        """Matrix product self @ other."""
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = IntMatrix(self.rows, other.cols)
-        for r, row in self.data.items():
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                k_row = other.data.get(k)
-                if k_row:
-                    for c, w in k_row.items():
-                        acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out.data.setdefault(r, {})[c] = v
-        return out
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -315,30 +307,47 @@ class IntegerChainComplex:
         return mat
 
     def check_composition(self) -> None:
-        for k in self.boundaries:
+        """Raise ``ChainComplexError`` unless every d_k d_{k+step} is zero.
+
+        The product is formed one row of d_k at a time, and the first row
+        that is not zero raises; no product matrix is built.
+        """
+        for k, lower in self.boundaries.items():
             upper = self.boundaries.get(k + self.step)
-            if upper is not None and not self.boundary(k).compose(upper).is_zero():
-                raise ChainComplexError(
-                    f"boundary composition at degree {k + self.step} is non-zero"
-                )
+            if upper is None:
+                continue
+            upper_rows = upper.data
+            for row in lower.data.values():
+                acc: dict[int, int] = {}
+                for mid, v in row.items():
+                    for c, w in upper_rows.get(mid, {}).items():
+                        acc[c] = acc.get(c, 0) + v * w
+                if any(acc.values()):
+                    raise ChainComplexError(
+                        f"boundary composition at degree {k + self.step} is non-zero"
+                    )
 
 
 def homology(complex_: IntegerChainComplex) -> dict[int, AbelianGroup]:
     """Homology group per degree: ker(out) / im(in), as canonical abelian groups.
 
-    After the exact d∘d check, unit pairs are cancelled across the whole
-    complex (Gaussian elimination): the degrees are walked from the top
-    down, and one pass over each boundary restricts it to the generators
-    that survived the map above it and indexes its columns for
-    ``_cancel_units``.  A +-1 entry of ``d_k`` at (r, c) makes the complex
-    homotopy equivalent to one without generator c of degree k and
-    generator r of degree k - step, where ``d_k`` is Schur-updated and its
-    neighbours only lose that row and column.  Each generator is thus
-    eliminated at most once.  The leftover complex has no unit entries and
-    is finished by ``smith_normal_form`` on its small matrices.  Raises
-    ``ChainComplexError`` when the boundaries do not compose to zero.
+    Precondition: the boundaries compose to zero.  ``homology`` does not
+    check it; the builder of a complex certifies its own (see the module
+    docstring), and ``IntegerChainComplex.check_composition`` checks any
+    other.  Unit pairs are cancelled across the whole complex (Gaussian
+    elimination): the degrees are walked from the top down, and one pass
+    over each boundary restricts it to the generators that survived the
+    map above it and indexes its columns for ``_cancel_units``.  A +-1
+    entry of ``d_k`` at (r, c) makes the complex homotopy equivalent to
+    one without generator c of degree k and generator r of degree
+    k - step, where ``d_k`` is Schur-updated and its neighbours only lose
+    that row and column; that equivalence needs d∘d = 0.  Each generator
+    is thus eliminated at most once.  The leftover complex has no unit
+    entries and is finished by ``smith_normal_form`` on its small
+    matrices.  A degree whose free rank comes out negative, which only a
+    complex that breaks the precondition can give, raises
+    ``ChainComplexError``.
     """
-    complex_.check_composition()
     step = complex_.step
     alive = {k: set(range(n)) for k, n in complex_.ranks.items()}
     leftover: dict[int, dict[int, dict[int, int]]] = {}

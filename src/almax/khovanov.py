@@ -19,12 +19,24 @@ with the deficit cut for one j; ``full_homology_table``,
 ``kauffman_bracket`` and ``generator_rank_table`` run it whole.  ``_census``
 files the enhanced states of a walk by (j, i), and ``_histogram`` counts
 its masks.  Each call walks once; nothing is cached between calls.
+
+``_mask_flips`` works out a kept mask's flip data: per A-crossing, the
+incidence and the circle bits before and after the flip.  ``_images`` is
+the merge/split rule on that data.  ``_boundary`` writes the matrices
+from the two.  The table works out every mask's flip data once per walk
+(``_flips``) and shares it among its columns and ``_check_squares``,
+which certifies d∘d = 0 for the whole table from the same data and
+rule, one square of the cube at a time, instead of multiplying
+matrices.  ``build_column`` needs each mask's flip data once, so it
+keeps none, and ``column_homology`` checks its one column with
+``IntegerChainComplex.check_composition``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,6 +49,7 @@ from .diagram import (
 )
 from .homology import (
     AbelianGroup,
+    ChainComplexError,
     IntegerChainComplex,
     IntMatrix,
     homology,
@@ -235,46 +248,68 @@ def _histogram(kept: dict[int, _Res], c: int) -> Counter:
     return Counter((c - 2 * mask.bit_count(), len(circles)) for mask, (circles, _) in kept.items())
 
 
-def _flips(kept: dict[int, _Res], mask: int, target_index: dict) -> list[tuple]:
-    """Per crossing x that is A in ``mask``: (incidence, targets, b0, b2, t0, t2).
+def _mask_flips(kept: dict[int, _Res], mask: int) -> dict[int, tuple[int, int, int, int, int]]:
+    """The flip data of one kept mask: x -> (incidence, b0, b2, t0, t2).
 
-    The incidence is (-1)^k, with k the number of B-labels after x, and
-    ``targets`` maps the negbits of each target generator on the flipped
-    mask to its row.  b0 and b2 are the bits of the circles at slots 0 and
-    2 of x before the flip, t0 and t2 after it; b0 == b2 means a split, and
-    t0 == t2 a merge.  Only a split needs the flipped mask's resolution,
-    and ``kept`` always holds it.  Each split has an image at the same j,
-    and the flipped mask has the deficit of ``mask`` (one more B-label, one
-    more circle): that deficit is within the walk's cut, and so is the
-    deficit of each mask below it, through which the walk reaches it.
+    One entry per crossing x that is A in the mask, in descending x.  The
+    incidence is (-1)^k, with k the number of B-labels after x.  b0 and b2
+    are the bits of the circles at slots 0 and 2 of x before the flip, t0
+    and t2 after it; b0 == b2 means a split, and t0 == t2 a merge.  Only a
+    split needs the flipped mask's resolution, and ``kept`` always holds
+    it: the flipped mask has the deficit of the mask (one more B-label, one
+    more circle), so it is within the walk's cut, and so is the deficit of
+    each mask below it, through which the walk reaches it.
     """
     end = kept[mask][1]
-    flips = []
+    out = {}
     after = 0
     for x in range(len(end) // 4 - 1, -1, -1):
         bit = 1 << x
         if mask & bit:
             after += 1
             continue
-        tmask = mask | bit
         s0, s2 = end[4 * x], end[4 * x + 2]
         if s0 != s2:
             # a merge keeps every arc end of both circles, so the lesser name
             t0 = t2 = min(s0, s2)
         else:
-            tend = kept[tmask][1]
+            tend = kept[mask | bit][1]
             t0, t2 = tend[4 * x], tend[4 * x + 2]
-        incidence = -1 if after & 1 else 1
-        flips.append((incidence, target_index.get(tmask, {}), 1 << s0, 1 << s2, 1 << t0, 1 << t2))
-    return flips
+        out[x] = (-1 if after & 1 else 1, 1 << s0, 1 << s2, 1 << t0, 1 << t2)
+    return out
 
 
-def _boundary(kept: dict[int, _Res], sources: list, targets: list) -> IntMatrix:
+def _flips(kept: dict[int, _Res]) -> dict[int, dict[int, tuple[int, int, int, int, int]]]:
+    """The flip data of every kept mask, by mask (``_mask_flips``)."""
+    return {mask: _mask_flips(kept, mask) for mask in kept}
+
+
+def _images(negs: int, b0: int, b2: int, t0: int, t2: int) -> tuple[int, ...]:
+    """The negbits of each image of the generator ``negs`` under one flip.
+
+    This is the merge/split rule of the differential, on the flip data
+    (b0, b2, t0, t2) of ``_mask_flips``.  It reads and writes only those bits;
+    every other circle keeps its sign.
+    """
+    if b0 != b2:
+        # two circles merge; a (+,+) pair admits no j-preserving sign
+        if negs & b0:
+            return (negs ^ b0 ^ b2 | t0,) if negs & b2 else (negs ^ b0,)
+        return (negs ^ b2,) if negs & b2 else ()
+    if negs & b0:
+        # a negative circle splits two ways
+        return (negs ^ b0 | t0, negs ^ b0 | t2)
+    # a positive circle splits into two positive ones
+    return (negs,)
+
+
+def _boundary(flips_of: Callable[[int], dict], sources: list, targets: list) -> IntMatrix:
     """Matrix of the differential from the ``sources`` block to ``targets``.
 
-    Each (row, column) is met once: the flipped crossing fixes the target
-    state, and a split's two images differ in which new circle is negative.
-    So every entry is written straight into the rows.
+    ``flips_of`` gives a mask's flip data (``_mask_flips``).  Each (row,
+    column) is met once: the flipped crossing fixes the target state, and
+    a split's two images differ in which new circle is negative.  So every
+    entry is written straight into the rows.
     """
     target_index: dict[int, dict[int, int]] = {}
     for r, (mask, negs) in enumerate(targets):
@@ -283,32 +318,81 @@ def _boundary(kept: dict[int, _Res], sources: list, targets: list) -> IntMatrix:
     rows = mat.data
     last = None
     for col, (mask, negs) in enumerate(sources):
-        if mask != last:  # a mask's generators are contiguous: one _flips per mask
+        if mask != last:  # a mask's generators are contiguous
             last = mask
-            flips = _flips(kept, mask, target_index)
-        for incidence, targets_of, b0, b2, t0, t2 in flips:
-            if b0 != b2:
-                # two circles merge; a (+,+) pair admits no j-preserving sign
-                if negs & b0:
-                    images = (negs ^ b0 ^ b2 | t0,) if negs & b2 else (negs ^ b0,)
-                elif negs & b2:
-                    images = (negs ^ b2,)
-                else:
-                    continue
-            elif negs & b0:
-                # a negative circle splits two ways
-                images = (negs ^ b0 | t0, negs ^ b0 | t2)
-            else:
-                # a positive circle splits into two positive ones
-                images = (negs,)
-            for image in images:
-                r = targets_of[image]
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = {col: incidence}
-                else:
-                    row[col] = incidence
+            flips = flips_of(mask)
+        for x, (incidence, b0, b2, t0, t2) in flips.items():
+            images = _images(negs, b0, b2, t0, t2)
+            if images:
+                targets_of = target_index[mask | 1 << x]
+                for image in images:
+                    r = targets_of[image]
+                    row = rows.get(r)
+                    if row is None:
+                        rows[r] = {col: incidence}
+                    else:
+                        row[col] = incidence
     return mat
+
+
+def _square_commutes(sign: int, x: tuple, xy: tuple, y: tuple, yx: tuple) -> bool:
+    """Whether one square of the cube composes to zero on every sign of its circles.
+
+    ``x`` and ``y`` are the bits (b0, b2, t0, t2) of the two flips out of
+    the mask, ``xy`` and ``yx`` those of the flips that close the square,
+    and ``sign`` is the product of the four incidences.  Both composites
+    read only the circles of the mask through the two crossings, so it is
+    enough that each sign pattern of those (at most 16) meets every image
+    as often along one path as along the other, counted with ``sign``.
+    """
+    patterns = [0]
+    for bit in {x[0], x[1], y[0], y[1]}:
+        patterns += [p | bit for p in patterns]
+    for pattern in patterns:
+        count: dict[int, int] = {}
+        for mid in _images(pattern, *x):
+            for image in _images(mid, *xy):
+                count[image] = count.get(image, 0) + 1
+        for mid in _images(pattern, *y):
+            for image in _images(mid, *yx):
+                count[image] = count.get(image, 0) + sign
+        if any(count.values()):
+            return False
+    return True
+
+
+def _check_squares(flips: dict) -> None:
+    """Certify d∘d = 0 on the whole cube from its flip data, one square at a time.
+
+    A square is a mask and two of its A-crossings x and y.  A generator on
+    the mask reaches the mask with both flipped along two paths, x first or
+    y first, and along no other two-step path; so d∘d vanishes exactly when
+    every square composes to zero (``_square_commutes``).  The verdict
+    depends only on the product of the four incidences and on which of the
+    square's 16 circle bits are equal, so it is worked out once per such
+    configuration.  This checks the rule ``_images`` on the flip data that
+    ``_boundary`` reads, not each entry ``_boundary`` writes.  A failing
+    square raises ``ChainComplexError`` with the degree of its mask.
+    """
+    verdicts: dict[tuple, bool] = {}
+    for mask, out in flips.items():
+        pairs = list(out.items())
+        for n, (x, fx) in enumerate(pairs):
+            above_x = flips[mask | 1 << x]
+            for y, fy in pairs[n + 1 :]:
+                fxy = above_x[y]
+                fyx = flips[mask | 1 << y][x]
+                sign = fx[0] * fxy[0] * fy[0] * fyx[0]
+                bits = fx[1:] + fxy[1:] + fy[1:] + fyx[1:]
+                key = (sign, *map(bits.index, bits))  # each bit labelled by its first place
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = _square_commutes(
+                        sign, bits[:4], bits[4:8], bits[8:12], bits[12:]
+                    )
+                if not verdict:
+                    degree = len(out) - mask.bit_count()  # c - 2|mask|
+                    raise ChainComplexError(f"boundary composition at degree {degree} is non-zero")
 
 
 @dataclass
@@ -324,14 +408,16 @@ class GradedComplexColumn:
         return IntegerChainComplex(ranks=ranks, boundaries=dict(self.boundaries), step=2)
 
 
-def _column(kept: dict[int, _Res], j: int, per_i: dict[int, list]) -> GradedComplexColumn:
+def _column(
+    flips_of: Callable[[int], dict], j: int, per_i: dict[int, list]
+) -> GradedComplexColumn:
     """The column of quantum grading j on the generators ``per_i``, keyed by i."""
     generators = {}
     boundaries = {}
     for i in sorted(per_i, reverse=True):
         generators[i] = per_i[i]
         if per_i.get(i - 2):
-            boundaries[i] = _boundary(kept, per_i[i], per_i[i - 2])
+            boundaries[i] = _boundary(flips_of, per_i[i], per_i[i - 2])
         elif per_i[i]:
             boundaries[i] = IntMatrix(0, len(per_i[i]))
     return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
@@ -347,7 +433,9 @@ def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
     """
     check_planar(diagram)
     kept = _walk(diagram, j)
-    return _column(kept, j, _census(kept, diagram.crossing_count, j).get(j, {}))
+    per_i = _census(kept, diagram.crossing_count, j).get(j, {})
+    # each mask is a source of one boundary only, so its flip data is not kept
+    return _column(lambda mask: _mask_flips(kept, mask), j, per_i)
 
 
 def _bracket(histogram: Counter) -> LaurentPoly:
@@ -395,9 +483,15 @@ def euler_polynomial(table: dict) -> LaurentPoly:
 
 
 def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGroup]:
-    """Non-trivial homology groups of one quantum column, keyed by (i, j)."""
-    column = build_column(diagram, j)
-    groups = homology(column.complex())
+    """Non-trivial homology groups of one quantum column, keyed by (i, j).
+
+    The column's boundaries are multiplied once (``check_composition``)
+    before ``homology``, which assumes that they compose to zero; a column
+    costs what its generators do, so the product does too.
+    """
+    complex_ = build_column(diagram, j).complex()
+    complex_.check_composition()
+    groups = homology(complex_)
     return {(i, j): g for i, g in nonzero_groups(groups).items()}
 
 
@@ -408,7 +502,9 @@ def full_homology_table(
 
     One walk of the cube resolves each mask once; every enhanced state is
     filed under its (j, i) in the order the walk met its mask, and the
-    masks counted per (sigma, circles) give the Kauffman bracket.
+    masks counted per (sigma, circles) give the Kauffman bracket.  The
+    flip data of each mask is worked out once, and ``_check_squares``
+    certifies d∘d = 0 on it for every column before any is built.
     Non-planar PD codes are rejected with ``NonPlanarDiagramError`` before
     any other work.
     """
@@ -416,10 +512,12 @@ def full_homology_table(
     _check_limit(diagram, limit)
     c = diagram.crossing_count
     kept = _walk(diagram)
+    flips = _flips(kept)
+    _check_squares(flips)
     columns = _census(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
-        groups = homology(_column(kept, j, columns[j]).complex())
+        groups = homology(_column(flips.__getitem__, j, columns[j]).complex())
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
     return table, _bracket(_histogram(kept, c))

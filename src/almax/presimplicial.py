@@ -124,6 +124,15 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
     hit once by every 0-cell) reduces degree 0.  The empty set comes out
     with a single Z in degree -1.  Face maps that break the axiom raise
     ``AxiomViolationError``.
+
+    The axiom check is what certifies d∘d = 0, so ``homology`` needs no
+    other.  With each undefined face read as 0,
+    d d = sum_{i<j} (-1)^(i+j) d_i d_j + sum_{j<=i} (-1)^(i+j) d_i d_j,
+    and d_i d_j = d_{j-1} d_i turns the term (i, j) of the first sum into
+    minus the term (j - 1, i) of the second; (i, j) -> (j - 1, i) is a
+    bijection between the two ranges of pairs, so the sums cancel.  The
+    augmentation is added only when every face is defined, and then it
+    sends the boundary d_0 e - d_1 e of each 1-cell e to 1 - 1 = 0.
     """
     violation = validate_pps(pps)
     if violation is not None:

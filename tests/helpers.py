@@ -10,8 +10,11 @@ each writes down the smoothing convention on its own.  The
 enhanced-state oracles resolve every state from scratch with
 ``resolve``, never through the package's incremental resolution store;
 the reference differential resolves with the union-find and writes the
-merge/split sign rules down on its own.  ``push_arc_over`` is a
-Reidemeister II move across a face traced as in ``face_count``, for
+merge/split sign rules down on its own.  ``compose`` multiplies two
+sparse matrices entry by entry: the d∘d oracle for complexes that the
+package certifies without a product, and ``unsigned_flips`` breaks d∘d
+by forcing every incidence of a mask's flip data to +1.  ``push_arc_over`` is
+a Reidemeister II move across a face traced as in ``face_count``, for
 invariance checks of the full table.
 """
 
@@ -562,6 +565,38 @@ MALFORMED_PPS = {
     ),
     "top-dim-not-an-integer": ({"top_dim": 1.7, "cells": {"0": ["v"], "1": ["e"]}}, "'top_dim'"),
 }
+
+
+# --- product oracle -----------------------------------------------------------
+
+
+def compose(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a @ b, entry by entry; zero entries are not stored."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    out = IntMatrix(a.rows, b.cols)
+    for r, row in a.data.items():
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            for c, w in b.data.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + v * w
+        kept = {c: v for c, v in acc.items() if v}
+        if kept:
+            out.data[r] = kept
+    return out
+
+
+def compositions_vanish(complex_) -> bool:
+    """Whether every d_(k - step) d_k of an ``IntegerChainComplex`` is the zero matrix."""
+    return all(
+        compose(complex_.boundary(k - complex_.step), upper).is_zero()
+        for k, upper in complex_.boundaries.items()
+    )
+
+
+def unsigned_flips(out: dict) -> dict:
+    """One mask's ``khovanov._mask_flips`` data with every incidence forced to +1."""
+    return {x: (1, *flip[1:]) for x, flip in out.items()}
 
 
 # --- SNF oracles --------------------------------------------------------------

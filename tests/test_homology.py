@@ -18,6 +18,8 @@ from almax.homology import (
 from almax.khovanov import build_column, full_homology_table, generator_rank_table
 from conftest import KNOT_10_44
 from helpers import (
+    compose,
+    compositions_vanish,
     dense_invariant_factors,
     homology_minor_gcd,
     invariant_factors,
@@ -187,7 +189,7 @@ class TestIntMatrix:
     def test_compose(self):
         a = IntMatrix.from_rows([[1, 2], [0, 1]])
         b = IntMatrix.from_rows([[1, 0], [3, 1]])
-        assert to_rows(a.compose(b)) == [[7, 2], [3, 1]]
+        assert to_rows(compose(a, b)) == [[7, 2], [3, 1]]
 
     def test_entries_accumulate(self):
         m = IntMatrix(2, 2)
@@ -222,6 +224,57 @@ class TestHomology:
     def test_composition_checked(self):
         bad = make_complex({2: 1, 1: 1, 0: 1}, {2: [[1]], 1: [[1]]})
         with pytest.raises(ChainComplexError, match="degree 2 is non-zero"):
+            bad.check_composition()
+
+    def test_composition_check_agrees_with_the_product(self):
+        rng = random.Random(16)
+        failing = 0
+        for _ in range(200):
+            ranks = {k: rng.randint(0, 3) for k in range(4)}
+            boundaries = {
+                k: IntMatrix(ranks[k - 1], ranks[k], {
+                    (r, c): rng.choice((0, 0, 0, 1, -1, 2))
+                    for r in range(ranks[k - 1])
+                    for c in range(ranks[k])
+                })
+                for k in range(1, 4)
+            }
+            cx = IntegerChainComplex(ranks=ranks, boundaries=boundaries)
+            if compositions_vanish(cx):
+                cx.check_composition()
+            else:
+                failing += 1
+                with pytest.raises(ChainComplexError, match="is non-zero"):
+                    cx.check_composition()
+        assert 20 < failing < 180
+
+    def test_composition_check_stops_at_the_first_non_zero_row(self, monkeypatch):
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("a row after the first non-zero one was read")
+
+        bad = make_complex({2: 1, 1: 1, 0: 2}, {2: [[1]], 1: [[1], [1]]})
+        bad.boundaries[1].data[1] = Unread(bad.boundaries[1].data[1])
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("an IntMatrix was built")
+
+        monkeypatch.setattr(IntMatrix, "__init__", no_matrix)
+        with pytest.raises(ChainComplexError, match="degree 2 is non-zero"):
+            bad.check_composition()
+
+    def test_homology_does_not_multiply(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("homology ran the d∘d product")
+
+        monkeypatch.setattr(IntegerChainComplex, "check_composition", refuse)
+        groups = homology(make_complex({2: 3, 1: 3, 0: 0}, {2: RP2_BOUNDARY}))
+        assert groups[1] == AbelianGroup(0, (2,))
+
+    def test_negative_free_rank_raises(self):
+        # d_1 d_2 = [[4]]: each boundary has rank 1 on a rank-1 middle group
+        bad = make_complex({2: 1, 1: 1, 0: 1}, {2: [[2]], 1: [[2]]})
+        with pytest.raises(ChainComplexError, match="negative free rank at degree 1"):
             homology(bad)
 
     def test_step_two(self):

@@ -6,6 +6,7 @@ import pytest
 from almax import diagram as diagram_module
 from almax import khovanov
 from almax.diagram import (
+    Diagram,
     DiagramError,
     State,
     add_positive_kink,
@@ -18,7 +19,7 @@ from almax.diagram import (
     to_pd_text,
     trace_state,
 )
-from almax.homology import AbelianGroup
+from almax.homology import AbelianGroup, ChainComplexError, IntegerChainComplex
 from almax.khovanov import (
     LaurentPoly,
     LOOP_VALUE,
@@ -37,6 +38,7 @@ from helpers import (
     almost_extreme_generators,
     bracket_oracle,
     braid_pd,
+    compositions_vanish,
     enhanced_census,
     face_count,
     gradings,
@@ -50,9 +52,10 @@ from helpers import (
     sign_map,
     torus_two_strand,
     union_find_resolution,
+    unsigned_flips,
 )
 
-from conftest import KNOT_10_44
+from conftest import KNOT_8_20, KNOT_10_44
 
 
 def enhanced(diagram, mask, negatives=()):
@@ -196,6 +199,108 @@ class TestBuildColumn:
         for i, gens in col.generators.items():
             for generator in gens:
                 assert gradings(figure_eight, named_generator(generator)) == (i, j_almax)
+
+
+def scrambled(diagram: Diagram, seed: int) -> Diagram:
+    """The same diagram with its crossings reordered and its arcs renamed."""
+    rng = random.Random(seed)
+    order = list(range(diagram.crossing_count))
+    rng.shuffle(order)
+    arcs = sorted(diagram.arc_ids())
+    renamed = dict(zip(arcs, rng.sample(arcs, len(arcs))))
+    shuffled = reorder_crossings(diagram, order)
+    return Diagram(tuple(tuple(renamed[e] for e in q) for q in shuffled.crossings))
+
+
+def table_columns(diagram: Diagram) -> dict[int, IntegerChainComplex]:
+    """The complex of every j column, built as ``full_homology_table`` builds it."""
+    kept = khovanov._walk(diagram)
+    flips = khovanov._flips(kept)
+    columns = khovanov._census(kept, diagram.crossing_count)
+    return {
+        j: khovanov._column(flips.__getitem__, j, per_i).complex() for j, per_i in columns.items()
+    }
+
+
+# the rule and the flip data as built, for the mutants below to fall back on
+REAL_IMAGES = khovanov._images
+REAL_MASK_FLIPS = khovanov._mask_flips
+
+
+def positive_split_with_a_negative_image(negs, b0, b2, t0, t2):
+    if b0 == b2 and not negs & b0:
+        return (negs | t0,)
+    return REAL_IMAGES(negs, b0, b2, t0, t2)
+
+
+def negative_merge_dropped(negs, b0, b2, t0, t2):
+    if b0 != b2 and negs & b0 and negs & b2:
+        return ()
+    return REAL_IMAGES(negs, b0, b2, t0, t2)
+
+
+def incidence_plus_one(kept, mask):
+    return unsigned_flips(REAL_MASK_FLIPS(kept, mask))
+
+
+class TestSquareCheck:
+    def test_image_rule_is_local(self):
+        # the rule reads and writes only b0, b2, t0 and t2: other bits pass through
+        d = parse_pd(KNOT_10_44)
+        rng = random.Random(16)
+        kinds = Counter()
+        for out in khovanov._flips(khovanov._walk(d)).values():
+            for _, b0, b2, t0, t2 in out.values():
+                touched = b0 | b2 | t0 | t2
+                for local in {0, b0, b2, b0 | b2}:
+                    images = khovanov._images(local, b0, b2, t0, t2)
+                    assert all(not image & ~touched for image in images)
+                    extra = rng.getrandbits(4 * d.crossing_count) & ~touched
+                    moved = khovanov._images(local | extra, b0, b2, t0, t2)
+                    assert moved == tuple(image | extra for image in images)
+                    kinds[b0 == b2, len(images)] += 1
+        # merges with no image and with one, splits with one image and with two
+        assert set(kinds) == {(False, 0), (False, 1), (True, 1), (True, 2)}
+
+    @pytest.mark.parametrize("name, pd", [("8_20", KNOT_8_20), ("10_44", KNOT_10_44)])
+    @pytest.mark.parametrize(
+        "target, mutant",
+        [
+            ("_mask_flips", incidence_plus_one),
+            ("_images", positive_split_with_a_negative_image),
+            ("_images", negative_merge_dropped),
+        ],
+        ids=["incidence-plus-one", "positive-split-negative-image", "negative-merge-dropped"],
+    )
+    def test_mutations_fail_the_square_check(self, monkeypatch, name, pd, target, mutant):
+        monkeypatch.setattr(khovanov, target, mutant)
+        message = r"^boundary composition at degree -?\d+ is non-zero$"
+        with pytest.raises(ChainComplexError, match=message):
+            full_homology_table(parse_pd(pd))
+
+    def test_table_columns_pass_the_product_oracle(self, corpus):
+        # the entries _boundary writes follow the rule the squares certify
+        diagrams = dict(corpus)
+        for name, d in [
+            ("8_20", corpus["8_20"]),
+            ("10_44", corpus["10_44"]),
+            ("T(2,8)", torus_two_strand(8)),
+            ("T(2,9)", torus_two_strand(9)),
+        ]:
+            for seed in (1, 2):
+                diagrams[f"{name} scrambled {seed}"] = scrambled(d, seed)
+        for name, d in diagrams.items():
+            khovanov._check_squares(khovanov._flips(khovanov._walk(d)))
+            for j, cx in table_columns(d).items():
+                assert compositions_vanish(cx), (name, j)
+
+    def test_table_runs_no_product(self, monkeypatch, corpus):
+        def refuse(self):
+            raise AssertionError("the table ran the d∘d product")
+
+        monkeypatch.setattr(IntegerChainComplex, "check_composition", refuse)
+        table, _ = full_homology_table(corpus["8_20"])
+        assert table
 
 
 class TestPrunedColumnWalk:

@@ -30,7 +30,7 @@ from conftest import (
     LEFT_TREFOIL,
     RIGHT_TREFOIL,
 )
-from helpers import MALFORMED_PPS, face_count, random_pd_codes
+from helpers import MALFORMED_PPS, face_count, random_pd_codes, torus_two_strand, unsigned_flips
 
 DATA = Path(__file__).parent / "data"
 
@@ -402,17 +402,10 @@ def test_non_integer_diagram_json_is_one_error_line(capsys, command, doc, value)
     "argv", [["table", LEFT_TREFOIL], ["analyze", FIGURE_EIGHT]], ids=["table", "analyze"]
 )
 def test_boundaries_that_do_not_compose_to_zero_exit_3(monkeypatch, capsys, argv):
-    # dropping the incidence signs breaks d∘d = 0 in the enhanced-state complex
-    real = khovanov._boundary
-
-    def unsigned(*args):
-        mat = real(*args)
-        for row in mat.data.values():
-            for c, v in row.items():
-                row[c] = abs(v)
-        return mat
-
-    monkeypatch.setattr(khovanov, "_boundary", unsigned)
+    # dropping the incidence signs breaks d∘d = 0 in the enhanced-state complex;
+    # the flip data is what both the boundaries and the table's square check read
+    real = khovanov._mask_flips
+    monkeypatch.setattr(khovanov, "_mask_flips", lambda *args: unsigned_flips(real(*args)))
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -421,7 +414,20 @@ def test_boundaries_that_do_not_compose_to_zero_exit_3(monkeypatch, capsys, argv
     assert line.endswith(" is non-zero")
 
 
+# label -> PD code; the table text and JSON of each are pinned in
+# tests/data/table/<label>.txt and .json
+PINNED_TABLE = {"10_44": KNOT_10_44, "t_2_9": to_pd_text(torus_two_strand(9))}
+
+
 class TestCliTable:
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", PINNED_TABLE)
+    def test_table_output_bytes_are_pinned(self, capsys, name, fmt, suffix):
+        assert main(["table", PINNED_TABLE[name], "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode() == (DATA / "table" / f"{name}.{suffix}").read_bytes()
+
     def test_text_table(self, capsys):
         assert main(["table", LEFT_TREFOIL]) == 0
         out = capsys.readouterr().out
