@@ -150,7 +150,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_table(args) -> int:
     diagram = _load_diagram(args.input)
     limit = args.max_c if args.max_c is not None else _default_max_c()
-    table, bracket = full_homology_table(diagram, limit=limit)
+    table, bracket = full_homology_table(diagram, limit=limit, writhe=args.writhe)
     identity_ok = euler_polynomial(table) == bracket
     oriented = None
     if args.writhe is not None:

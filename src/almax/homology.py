@@ -16,6 +16,16 @@ columns in order and pivoting on the shortest unit row writes 75,100.
 Whatever is left has no unit entries and is finished off, on the same
 dict-of-rows, by the classical least-entry pivot algorithm.
 
+``homology`` reads a complex through ``ranks``, ``step`` and
+``restrict(k, cols)``: the rows of d_k on the generators ``cols`` of
+degree k that survived the cancellation of the boundary above, together
+with the rows of each column.  By the elimination lemma that is all of
+d_k that the cancellation still needs.  An ``IntegerChainComplex`` stores
+its matrices and copies the restriction out of them (``_index``, which
+``smith_normal_form`` uses too); a column of the Khovanov table stores
+none and writes the restriction when asked (``khovanov._TableColumn``),
+so a generator cancelled against the degree above is never imaged.
+
 ``homology`` assumes that the boundaries compose to zero and does not
 multiply them to check it: each builder certifies its own complex once.
 The Khovanov table checks d∘d square by square on the cube of resolutions
@@ -306,6 +316,11 @@ class IntegerChainComplex:
             mat = IntMatrix(self.ranks.get(k - self.step, 0), self.ranks.get(k, 0))
         return mat
 
+    def restrict(self, k: int, cols) -> tuple[dict, dict[int, set[int]]]:
+        """The rows of d_k restricted to ``cols``, and the rows of each column (``_index``)."""
+        mat = self.boundaries.get(k)
+        return _index(mat.data, cols) if mat is not None else ({}, {})
+
     def check_composition(self) -> None:
         """Raise ``ChainComplexError`` unless every d_k d_{k+step} is zero.
 
@@ -335,14 +350,16 @@ def homology(complex_: IntegerChainComplex) -> dict[int, AbelianGroup]:
     check it; the builder of a complex certifies its own (see the module
     docstring), and ``IntegerChainComplex.check_composition`` checks any
     other.  Unit pairs are cancelled across the whole complex (Gaussian
-    elimination): the degrees are walked from the top down, and one pass
-    over each boundary restricts it to the generators that survived the
-    map above it and indexes its columns for ``_cancel_units``.  A +-1
-    entry of ``d_k`` at (r, c) makes the complex homotopy equivalent to
-    one without generator c of degree k and generator r of degree
-    k - step, where ``d_k`` is Schur-updated and its neighbours only lose
-    that row and column; that equivalence needs d∘d = 0.  Each generator
-    is thus eliminated at most once.  The leftover complex has no unit
+    elimination): the degrees are walked from the top down, and each
+    boundary is asked (``restrict``) only for its columns on the
+    generators that survived the map above it, as rows plus the rows of
+    each column, the inputs of ``_cancel_units``.  A +-1 entry of ``d_k``
+    at (r, c) makes the complex homotopy equivalent to one without
+    generator c of degree k and generator r of degree k - step, where
+    ``d_k`` is Schur-updated and its neighbours only lose that row and
+    column; that equivalence needs d∘d = 0.  Each generator is thus
+    eliminated at most once, and the boundary below is never needed on
+    the generators it removed.  The leftover complex has no unit
     entries and is finished by ``smith_normal_form`` on its small
     matrices.  A degree whose free rank comes out negative, which only a
     complex that breaks the precondition can give, raises
@@ -351,9 +368,9 @@ def homology(complex_: IntegerChainComplex) -> dict[int, AbelianGroup]:
     step = complex_.step
     alive = {k: set(range(n)) for k, n in complex_.ranks.items()}
     leftover: dict[int, dict[int, dict[int, int]]] = {}
-    for k in sorted(complex_.boundaries, reverse=True):
-        cols = alive.get(k, set())
-        rows, col_rows = _index(complex_.boundaries[k].data, cols)
+    for k in sorted(alive, reverse=True):
+        cols = alive[k]
+        rows, col_rows = complex_.restrict(k, cols)
         pivot_rows, pivot_cols = _cancel_units(rows, col_rows)
         cols.difference_update(pivot_cols)
         alive.get(k - step, set()).difference_update(pivot_rows)

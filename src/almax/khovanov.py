@@ -22,14 +22,19 @@ its masks.  Each call walks once; nothing is cached between calls.
 
 ``_mask_flips`` works out a kept mask's flip data: per A-crossing, the
 incidence and the circle bits before and after the flip.  ``_images`` is
-the merge/split rule on that data.  ``_boundary`` writes the matrices
-from the two.  The table works out every mask's flip data once per walk
-(``_flips``) and shares it among its columns and ``_check_squares``,
-which certifies d∘d = 0 for the whole table from the same data and
-rule, one square of the cube at a time, instead of multiplying
-matrices.  ``build_column`` needs each mask's flip data once, so it
-keeps none, and ``column_homology`` checks its one column with
-``IntegerChainComplex.check_composition``.
+the merge/split rule on that data.  ``_boundary``, the one writer of
+differential entries, images the sources it is given and writes their
+rows, and on request the rows of each column, in one pass.  The table works out
+every mask's flip data once per walk (``_flips``) and shares it among
+its columns and ``_check_squares``, which certifies d∘d = 0 for the
+whole table from the same data and rule, one square of the cube at a
+time, instead of multiplying matrices.  No table boundary is stored:
+``homology`` asks each column (``_TableColumn``) for d_i once it has
+cancelled d_(i+2), and ``_boundary`` images only the generators of
+degree i that survived.  ``build_column`` writes every boundary of its
+column whole into an ``IntMatrix``, needs each mask's flip data once,
+so it keeps none, and ``column_homology`` multiplies its one column
+with ``IntegerChainComplex.check_composition``.
 """
 
 from __future__ import annotations
@@ -303,36 +308,50 @@ def _images(negs: int, b0: int, b2: int, t0: int, t2: int) -> tuple[int, ...]:
     return (negs,)
 
 
-def _boundary(flips_of: Callable[[int], dict], sources: list, targets: list) -> IntMatrix:
-    """Matrix of the differential from the ``sources`` block to ``targets``.
+def _boundary(
+    flips_of: Callable[[int], dict],
+    sources: list,
+    targets: list,
+    positions,
+    col_rows: dict[int, set[int]] | None = None,
+) -> dict[int, dict[int, int]]:
+    """The rows of the differential from the ``sources`` at ``positions`` to ``targets``.
 
-    ``flips_of`` gives a mask's flip data (``_mask_flips``).  Each (row,
-    column) is met once: the flipped crossing fixes the target state, and
-    a split's two images differ in which new circle is negative.  So every
-    entry is written straight into the rows.
+    ``flips_of`` gives a mask's flip data (``_mask_flips``).  The rows map
+    a target position to {source position: entry}; no other source is
+    imaged.  Given ``col_rows``, the same pass records in it the rows of
+    each column, so that the two inputs of ``homology._cancel_units`` are
+    written together.  Each (row, column) is met once: the flipped
+    crossing fixes the target state, and a split's two images differ in
+    which new circle is negative.  So every entry is written straight into
+    the rows.
     """
     target_index: dict[int, dict[int, int]] = {}
     for r, (mask, negs) in enumerate(targets):
         target_index.setdefault(mask, {})[negs] = r
-    mat = IntMatrix(len(targets), len(sources))
-    rows = mat.data
+    rows: dict[int, dict[int, int]] = {}
     last = None
-    for col, (mask, negs) in enumerate(sources):
+    for col in positions:
+        mask, negs = sources[col]
         if mask != last:  # a mask's generators are contiguous
             last = mask
             flips = flips_of(mask)
+        holders = set()
         for x, (incidence, b0, b2, t0, t2) in flips.items():
             images = _images(negs, b0, b2, t0, t2)
             if images:
                 targets_of = target_index[mask | 1 << x]
                 for image in images:
                     r = targets_of[image]
+                    holders.add(r)
                     row = rows.get(r)
                     if row is None:
                         rows[r] = {col: incidence}
                     else:
                         row[col] = incidence
-    return mat
+        if holders and col_rows is not None:
+            col_rows[col] = holders
+    return rows
 
 
 def _square_commutes(sign: int, x: tuple, xy: tuple, y: tuple, yx: tuple) -> bool:
@@ -411,16 +430,40 @@ class GradedComplexColumn:
 def _column(
     flips_of: Callable[[int], dict], j: int, per_i: dict[int, list]
 ) -> GradedComplexColumn:
-    """The column of quantum grading j on the generators ``per_i``, keyed by i."""
+    """The column of quantum grading j on the generators ``per_i``, keyed by i, built whole."""
     generators = {}
     boundaries = {}
     for i in sorted(per_i, reverse=True):
-        generators[i] = per_i[i]
-        if per_i.get(i - 2):
-            boundaries[i] = _boundary(flips_of, per_i[i], per_i[i - 2])
-        elif per_i[i]:
-            boundaries[i] = IntMatrix(0, len(per_i[i]))
+        generators[i] = sources = per_i[i]
+        targets = per_i.get(i - 2, [])
+        boundaries[i] = mat = IntMatrix(len(targets), len(sources))
+        if targets:
+            mat.data = _boundary(flips_of, sources, targets, range(len(sources)))
     return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
+
+
+class _TableColumn:
+    """One quantum column of ``full_homology_table``, as ``homology`` reads a complex.
+
+    No boundary is stored: ``restrict`` writes d_i when ``homology``
+    reaches degree i, and only on the generators of degree i that survived
+    the cancellation of d_(i+2).
+    """
+
+    step = 2
+
+    def __init__(self, flips: dict, per_i: dict[int, list]):
+        self.flips = flips
+        self.per_i = per_i
+        self.ranks = {i: len(gens) for i, gens in per_i.items()}
+
+    def restrict(self, i: int, cols) -> tuple[dict, dict[int, set[int]]]:
+        targets = self.per_i.get(i - 2)
+        col_rows: dict[int, set[int]] = {}
+        rows = {}
+        if targets:
+            rows = _boundary(self.flips.__getitem__, self.per_i[i], targets, sorted(cols), col_rows)
+        return rows, col_rows
 
 
 def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
@@ -496,7 +539,7 @@ def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGr
 
 
 def full_homology_table(
-    diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT
+    diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT, writhe: int | None = None
 ) -> tuple[dict[tuple[int, int], AbelianGroup], LaurentPoly]:
     """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
 
@@ -504,20 +547,30 @@ def full_homology_table(
     filed under its (j, i) in the order the walk met its mask, and the
     masks counted per (sigma, circles) give the Kauffman bracket.  The
     flip data of each mask is worked out once, and ``_check_squares``
-    certifies d∘d = 0 on it for every column before any is built.
+    certifies d∘d = 0 on it for every column before any is reduced.  Each
+    column's boundaries are written as ``homology`` reaches them, on the
+    generators still alive (``_TableColumn``).
     Non-planar PD codes are rejected with ``NonPlanarDiagramError`` before
-    any other work.
+    any other work, then diagrams above ``limit`` with ``TableSizeError``.
+    A ``writhe`` given for ``framed_to_oriented`` is checked next, before
+    the walk: every state sits at i = j = c (mod 2), so one of the other
+    parity than c fits no group and raises ``ValueError``.
     """
     check_planar(diagram)
     _check_limit(diagram, limit)
     c = diagram.crossing_count
+    if writhe is not None and (writhe - c) % 2:
+        raise ValueError(
+            f"parity violation: writhe {writhe} and crossing count {c} differ mod 2, "
+            "but oriented gradings need writhe = i = j = crossing count (mod 2)"
+        )
     kept = _walk(diagram)
     flips = _flips(kept)
     _check_squares(flips)
     columns = _census(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
-        groups = homology(_column(flips.__getitem__, j, columns[j]).complex())
+        groups = homology(_TableColumn(flips, columns[j]))
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
     return table, _bracket(_histogram(kept, c))

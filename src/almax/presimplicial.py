@@ -141,19 +141,31 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
     ranks = {k: len(pps.cells[k]) for k in range(pps.top_dim + 1)}
     boundaries: dict[int, IntMatrix] = {}
     for k in range(1, pps.top_dim + 1):
-        mat = IntMatrix(ranks[k - 1], ranks[k])
+        # the face targets are range-checked by PartialPresimplicialSet, so the
+        # rows are written directly; faces that coincide add up, and may cancel
+        rows: dict[int, dict[int, int]] = {}
         for col, fmap in enumerate(pps.faces[k]):
             for i, target in enumerate(fmap):
-                if target is not None:
-                    mat.add(target, col, -1 if i % 2 else 1)
-        boundaries[k] = mat
+                if target is None:
+                    continue
+                row = rows.get(target)
+                if row is None:
+                    rows[target] = row = {}
+                new = row.get(col, 0) + (-1 if i % 2 else 1)
+                if new:
+                    row[col] = new
+                else:
+                    del row[col]
+                    if not row:
+                        del rows[target]
+        boundaries[k] = mat = IntMatrix(ranks[k - 1], ranks[k])
+        mat.data = rows
 
     if reduced and not pps.is_proper():
         ranks[-1] = 1
-        aug = IntMatrix(1, ranks.get(0, 0))
-        for col in range(ranks.get(0, 0)):
-            aug.add(0, col, 1)
-        boundaries[0] = aug
+        boundaries[0] = aug = IntMatrix(1, ranks.get(0, 0))
+        if ranks.get(0, 0):
+            aug.data[0] = dict.fromkeys(range(ranks[0]), 1)
     elif reduced:
         ranks[-1] = 0
     return IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=1)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -19,7 +20,13 @@ from almax.diagram import (
     to_pd_text,
     trace_state,
 )
-from almax.homology import AbelianGroup, ChainComplexError, IntegerChainComplex
+from almax.homology import (
+    AbelianGroup,
+    ChainComplexError,
+    IntegerChainComplex,
+    homology,
+    nonzero_groups,
+)
 from almax.khovanov import (
     LaurentPoly,
     LOOP_VALUE,
@@ -56,6 +63,8 @@ from helpers import (
 )
 
 from conftest import KNOT_8_20, KNOT_10_44
+
+homology_module = importlib.import_module("almax.homology")
 
 
 def enhanced(diagram, mask, negatives=()):
@@ -279,7 +288,9 @@ class TestSquareCheck:
             full_homology_table(parse_pd(pd))
 
     def test_table_columns_pass_the_product_oracle(self, corpus):
-        # the entries _boundary writes follow the rule the squares certify
+        # the entries _boundary writes follow the rule the squares certify, and
+        # the table, whose boundaries are written lazily on the surviving
+        # generators, equals the homology of these eagerly built columns
         diagrams = dict(corpus)
         for name, d in [
             ("8_20", corpus["8_20"]),
@@ -291,8 +302,11 @@ class TestSquareCheck:
                 diagrams[f"{name} scrambled {seed}"] = scrambled(d, seed)
         for name, d in diagrams.items():
             khovanov._check_squares(khovanov._flips(khovanov._walk(d)))
+            eager = {}
             for j, cx in table_columns(d).items():
                 assert compositions_vanish(cx), (name, j)
+                eager.update({(i, j): g for i, g in nonzero_groups(homology(cx)).items()})
+            assert full_homology_table(d)[0] == eager, name
 
     def test_table_runs_no_product(self, monkeypatch, corpus):
         def refuse(self):
@@ -301,6 +315,79 @@ class TestSquareCheck:
         monkeypatch.setattr(IntegerChainComplex, "check_composition", refuse)
         table, _ = full_homology_table(corpus["8_20"])
         assert table
+
+
+class TestLazyBoundaries:
+    @pytest.mark.parametrize(
+        "diagram",
+        [parse_pd(KNOT_10_44), scrambled(torus_two_strand(8), 2)],
+        ids=["10_44", "T(2,8) scrambled 2"],
+    )
+    def test_lazy_rows_equal_the_restriction(self, diagram):
+        # what _boundary writes for a subset of the sources is what _index
+        # copies out of the whole boundary
+        rng = random.Random(17)
+        kept = khovanov._walk(diagram)
+        flips = khovanov._flips(kept)
+        boundaries = 0
+        for j, per_i in khovanov._census(kept, diagram.crossing_count).items():
+            column = khovanov._column(flips.__getitem__, j, per_i)
+            for i, full in column.boundaries.items():
+                if not full.rows:
+                    continue
+                boundaries += 1
+                n = full.cols
+                subsets = [set(), set(range(n))]
+                subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
+                for subset in subsets:
+                    col_rows = {}
+                    rows = khovanov._boundary(
+                        flips.__getitem__, per_i[i], per_i[i - 2], sorted(subset), col_rows
+                    )
+                    assert (rows, col_rows) == homology_module._index(full.data, subset), (j, i)
+        assert boundaries > 20
+
+    def test_table_images_fewer_generators_than_the_eager_build(self, monkeypatch):
+        # cancelled generators are never imaged: 34,567 calls against 59,151
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return REAL_IMAGES(*args)
+
+        monkeypatch.setattr(khovanov, "_images", counting)
+        d = torus_two_strand(9)
+        full_homology_table(d)
+        lazy, calls = calls, 0
+        khovanov._check_squares(khovanov._flips(khovanov._walk(d)))
+        table_columns(d)
+        assert 0 < lazy < calls
+        assert lazy <= 35_000
+
+    def test_table_builds_no_khovanov_matrix(self, monkeypatch, corpus):
+        # only smith_normal_form, on the leftovers, copies rows with _index
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table built or read a stored Khovanov boundary")
+
+        monkeypatch.setattr(khovanov, "IntMatrix", refuse)
+        monkeypatch.setattr(IntegerChainComplex, "restrict", refuse)
+        counts = Counter()
+
+        def counted(name):
+            real = getattr(homology_module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(homology_module, name, wrapper)
+
+        counted("_index")
+        counted("smith_normal_form")
+        table, _ = full_homology_table(corpus["10_44"])
+        assert table
+        assert counts["_index"] == counts["smith_normal_form"] > 0
 
 
 class TestPrunedColumnWalk:

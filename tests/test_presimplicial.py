@@ -151,6 +151,19 @@ class TestChainComplex:
         )
         assert reduced_homology(circle) == {1: AbelianGroup(1)}
 
+    def test_coinciding_faces_add_up(self):
+        # a and b are loops at v, so each has a zero column; the 2-cell has
+        # d_0 = d_2 = a, whose two +1 entries add up to 2
+        pps = PartialPresimplicialSet(
+            top_dim=2,
+            cells={0: ("v",), 1: ("a", "b"), 2: ("s",)},
+            faces={1: ((0, 0), (0, 0)), 2: ((0, 1, 0),)},
+        )
+        cx = chain_complex(pps, reduced=False)
+        assert cx.boundary(1).data == {}
+        assert cx.boundary(2).data == {0: {0: 2}, 1: {0: -1}}
+        assert nonzero_groups(homology(cx)) == {0: AbelianGroup(1), 1: AbelianGroup(1)}
+
     def test_empty_set_is_a_minus_one_sphere(self):
         assert reduced_homology(EMPTY_PPS) == {-1: AbelianGroup(1)}
 

@@ -455,6 +455,25 @@ class TestCliTable:
     def test_bad_writhe_parity(self, capsys):
         assert main(["table", LEFT_TREFOIL, "--writhe", "2"]) == 1
 
+    def test_bad_writhe_parity_fails_before_the_cube_walk(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cube was walked")
+
+        monkeypatch.setattr(khovanov, "_walk", forbidden)
+        t211 = to_pd_text(torus_two_strand(11))
+        assert main(["table", t211, "--writhe", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: parity violation: writhe 2 and crossing count 11")
+        assert captured.err.count("\n") == 1
+        # the planarity check and the size bound still come first
+        assert main(["table", t211, "--writhe", "2", "--max-c", "10"]) == 1
+        assert "table mode is capped at 10" in capsys.readouterr().err
+        d = non_planar_codes()[0]
+        writhe = d.crossing_count + 1
+        assert main(["table", to_pd_text(d), "--writhe", str(writhe)]) == 2
+        assert capsys.readouterr().err.startswith("error: PD code is not planar")
+
     def test_long_inline_code_reaches_the_size_bound(self, capsys):
         assert main(["table", long_inline_code()]) == 1
         err = capsys.readouterr().err
