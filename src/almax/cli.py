@@ -73,10 +73,25 @@ def _default_max_c() -> int:
     if raw is None:
         return DEFAULT_TABLE_LIMIT
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer {ENV_MAX_C}={raw!r}", file=sys.stderr)
+        bound = None
+    if bound is None or bound < 0:
+        kind = "non-integer" if bound is None else "negative"
+        print(f"warning: ignoring {kind} {ENV_MAX_C}={raw!r}", file=sys.stderr)
         return DEFAULT_TABLE_LIMIT
+    return bound
+
+
+def _size_bound(text: str) -> int:
+    """A ``--max-c`` value: a non-negative integer, or a usage error."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {bound}")
+    return bound
 
 
 def build_parser() -> _Parser:
@@ -105,7 +120,7 @@ def build_parser() -> _Parser:
     table.add_argument("--format", choices=("text", "json"), default="text")
     table.add_argument(
         "--max-c",
-        type=int,
+        type=_size_bound,
         default=None,
         help=f"crossing-count bound for table mode (default {DEFAULT_TABLE_LIMIT}, "
         f"or the {ENV_MAX_C} environment variable)",

@@ -371,6 +371,9 @@ def diagram_to_json_dict(diagram: Diagram) -> dict:
 def diagram_from_json_dict(doc: dict) -> Diagram:
     if not isinstance(doc, dict) or "crossings" not in doc:
         raise PDSyntaxError("diagram JSON must be an object with a 'crossings' list")
+    unknown = set(doc) - {"crossings", "free_loops"}
+    if unknown:
+        raise PDSyntaxError(f"unknown keys in diagram JSON: {sorted(unknown)}")
     crossings = doc["crossings"]
     if not isinstance(crossings, list) or any(
         not isinstance(q, list) or len(q) != 4 for q in crossings

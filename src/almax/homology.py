@@ -22,9 +22,9 @@ degree k that survived the cancellation of the boundary above, together
 with the rows of each column.  By the elimination lemma that is all of
 d_k that the cancellation still needs.  An ``IntegerChainComplex`` stores
 its matrices and copies the restriction out of them (``_index``, which
-``smith_normal_form`` uses too); a column of the Khovanov table stores
-none and writes the restriction when asked (``khovanov._TableColumn``),
-so a generator cancelled against the degree above is never imaged.
+``smith_normal_form`` uses too); a ``khovanov.KhovanovColumn`` stores
+none and writes the restriction when asked, so a generator cancelled
+against the degree above is never imaged.
 
 ``homology`` assumes that the boundaries compose to zero and does not
 multiply them to check it: each builder certifies its own complex once.

@@ -18,23 +18,29 @@ of the masks it keeps as a plain dict by mask.  ``build_column`` runs it
 with the deficit cut for one j; ``full_homology_table``,
 ``kauffman_bracket`` and ``generator_rank_table`` run it whole.  ``_census``
 files the enhanced states of a walk by (j, i), and ``_histogram`` counts
-its masks.  Each call walks once; nothing is cached between calls.
+its masks per (sigma, circles).  Each call walks once; nothing is cached
+between calls.  There is one count of enhanced states, ``_ranks``, which
+expands the histogram by binomial coefficients; the Kauffman bracket is
+its ``euler_polynomial``, because d^k = (-1)^k sum_n comb(k, n) A^(2k-4n).
 
 ``_mask_flips`` works out a kept mask's flip data: per A-crossing, the
 incidence and the circle bits before and after the flip.  ``_images`` is
 the merge/split rule on that data.  ``_boundary``, the one writer of
 differential entries, images the sources it is given and writes their
-rows, and on request the rows of each column, in one pass.  The table works out
-every mask's flip data once per walk (``_flips``) and shares it among
-its columns and ``_check_squares``, which certifies d∘d = 0 for the
-whole table from the same data and rule, one square of the cube at a
-time, instead of multiplying matrices.  No table boundary is stored:
-``homology`` asks each column (``_TableColumn``) for d_i once it has
-cancelled d_(i+2), and ``_boundary`` images only the generators of
-degree i that survived.  ``build_column`` writes every boundary of its
-column whole into an ``IntMatrix``, needs each mask's flip data once,
-so it keeps none, and ``column_homology`` multiplies its one column
-with ``IntegerChainComplex.check_composition``.
+rows, and on request the rows of each column, in one pass.  There is one
+column type, ``KhovanovColumn``: it stores generators and a way to get
+flip data, no boundary, and has two reads.  ``homology`` reads it through
+``restrict``, asking for d_i once it has cancelled d_(i+2), so
+``_boundary`` images only the generators of degree i that survived; this
+is how the table reduces its columns.  The table works out every mask's
+flip data once per walk (``_flips``) and shares it among its columns and
+``_check_squares``, which certifies d∘d = 0 for the whole table from the
+same data and rule, one square of the cube at a time, instead of
+multiplying matrices.  ``complex`` writes every boundary whole into an
+``IntMatrix``: ``column_homology`` multiplies that with
+``IntegerChainComplex.check_composition`` before ``homology``.  Its
+column (``build_column``) needs each mask's flip data once, so it keeps
+none.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import (
@@ -77,46 +82,8 @@ class LaurentPoly:
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("only non-negative powers")
-        result = LaurentPoly({0: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def coefficient(self, exponent: int) -> int:
         return self.coeffs.get(exponent, 0)
@@ -141,10 +108,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
-
-
-#: The unknot value of the bracket state sum: d = -A^2 - A^-2.
-LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
 
 
 def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
@@ -414,60 +377,46 @@ def _check_squares(flips: dict) -> None:
                     raise ChainComplexError(f"boundary composition at degree {degree} is non-zero")
 
 
-@dataclass
-class GradedComplexColumn:
-    """One quantum grading j of the complex: generators and differentials by i."""
+class KhovanovColumn:
+    """One quantum grading j of the complex: generators by i, and two reads of d.
 
-    j: int
-    generators: dict[int, list[tuple[int, int]]]  # (mask, negbits) per i
-    boundaries: dict[int, IntMatrix]
-
-    def complex(self) -> IntegerChainComplex:
-        ranks = {i: len(gens) for i, gens in self.generators.items()}
-        return IntegerChainComplex(ranks=ranks, boundaries=dict(self.boundaries), step=2)
-
-
-def _column(
-    flips_of: Callable[[int], dict], j: int, per_i: dict[int, list]
-) -> GradedComplexColumn:
-    """The column of quantum grading j on the generators ``per_i``, keyed by i, built whole."""
-    generators = {}
-    boundaries = {}
-    for i in sorted(per_i, reverse=True):
-        generators[i] = sources = per_i[i]
-        targets = per_i.get(i - 2, [])
-        boundaries[i] = mat = IntMatrix(len(targets), len(sources))
-        if targets:
-            mat.data = _boundary(flips_of, sources, targets, range(len(sources)))
-    return GradedComplexColumn(j=j, generators=generators, boundaries=boundaries)
-
-
-class _TableColumn:
-    """One quantum column of ``full_homology_table``, as ``homology`` reads a complex.
-
-    No boundary is stored: ``restrict`` writes d_i when ``homology``
-    reaches degree i, and only on the generators of degree i that survived
-    the cancellation of d_(i+2).
+    ``generators`` maps i to its (mask, negbits) pairs and ``flips_of``
+    gives a mask's flip data (``_mask_flips``).  No boundary is stored.
+    ``restrict`` is how ``homology`` reads a complex: it writes d_i when
+    ``homology`` reaches degree i, and only on the generators of degree i
+    that survived the cancellation of d_(i+2).  ``complex`` writes every
+    boundary whole into an ``IntMatrix``, for the d∘d product.
     """
 
     step = 2
 
-    def __init__(self, flips: dict, per_i: dict[int, list]):
-        self.flips = flips
-        self.per_i = per_i
-        self.ranks = {i: len(gens) for i, gens in per_i.items()}
+    def __init__(self, flips_of: Callable[[int], dict], j: int, generators: dict[int, list]):
+        self.flips_of = flips_of
+        self.j = j
+        self.generators = generators
+        self.ranks = {i: len(gens) for i, gens in generators.items()}
 
     def restrict(self, i: int, cols) -> tuple[dict, dict[int, set[int]]]:
-        targets = self.per_i.get(i - 2)
+        targets = self.generators.get(i - 2)
         col_rows: dict[int, set[int]] = {}
         rows = {}
         if targets:
-            rows = _boundary(self.flips.__getitem__, self.per_i[i], targets, sorted(cols), col_rows)
+            rows = _boundary(self.flips_of, self.generators[i], targets, sorted(cols), col_rows)
         return rows, col_rows
 
+    def complex(self) -> IntegerChainComplex:
+        boundaries = {}
+        for i in sorted(self.generators, reverse=True):
+            sources = self.generators[i]
+            targets = self.generators.get(i - 2, [])
+            boundaries[i] = mat = IntMatrix(len(targets), len(sources))
+            if targets:
+                mat.data = _boundary(self.flips_of, sources, targets, range(len(sources)))
+        return IntegerChainComplex(ranks=self.ranks, boundaries=boundaries, step=2)
 
-def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
-    """Assemble the degree-(-2) complex of all enhanced states with quantum grading j.
+
+def build_column(diagram: Diagram, j: int) -> KhovanovColumn:
+    """The column of all enhanced states with quantum grading j, unassembled.
 
     The generators are found by the walk cut at j (``_walk``), so the cost
     follows the size of the column, not 2^c.  They stay (mask, negbits)
@@ -478,59 +427,59 @@ def build_column(diagram: Diagram, j: int) -> GradedComplexColumn:
     kept = _walk(diagram, j)
     per_i = _census(kept, diagram.crossing_count, j).get(j, {})
     # each mask is a source of one boundary only, so its flip data is not kept
-    return _column(lambda mask: _mask_flips(kept, mask), j, per_i)
+    return KhovanovColumn(lambda mask: _mask_flips(kept, mask), j, per_i)
 
 
-def _bracket(histogram: Counter) -> LaurentPoly:
-    """Sum of masks * A^sigma * d^circles over a ``_histogram``."""
-    total = LaurentPoly.zero()
-    for (sigma, circles), masks in histogram.items():
-        total = total + LaurentPoly.monomial(masks, sigma) * LOOP_VALUE**circles
-    return total
-
-
-def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
-    """State sum over all Kauffman states: sum of A^sigma * d^circles.
-
-    Normalization: the bracket of the unknot diagram is d = -A^2 - A^-2,
-    so this equals d times the usual bracket and matches the generator
-    count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j.
-    """
-    return _bracket(_histogram(_walk(diagram), diagram.crossing_count))
-
-
-def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
-    """Number of enhanced states per (i, j), counted per state without building them.
+def _ranks(histogram: Counter) -> dict[tuple[int, int], int]:
+    """Number of enhanced states per (i, j) from a ``_histogram``, without building them.
 
     A state with ``circles`` circles and B-count r has comb(circles, n)
     enhancements with n negative circles, all at i = c - 2r and
     j = i + 2 * (circles - 2n).
     """
-    _check_limit(diagram, limit)
     table: dict[tuple[int, int], int] = {}
-    for (sigma, circles), masks in _histogram(_walk(diagram), diagram.crossing_count).items():
+    for (sigma, circles), masks in histogram.items():
         for negatives in range(circles + 1):
             key = (sigma, sigma + 2 * (circles - 2 * negatives))
             table[key] = table.get(key, 0) + masks * math.comb(circles, negatives)
     return table
 
 
+def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
+    """State sum over all Kauffman states: sum of A^sigma * d^circles.
+
+    Normalization: the bracket of the unknot diagram is d = -A^2 - A^-2,
+    so this equals d times the usual bracket.  Since
+    d^k = (-1)^k * sum_n comb(k, n) * A^(2k - 4n), it is the generator
+    count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j, and is worked out
+    as exactly that: ``euler_polynomial`` of the ranks.
+    """
+    return euler_polynomial(_ranks(_histogram(_walk(diagram), diagram.crossing_count)))
+
+
+def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
+    """Number of enhanced states per (i, j), counted per state without building them."""
+    _check_limit(diagram, limit)
+    return _ranks(_histogram(_walk(diagram), diagram.crossing_count))
+
+
 def euler_polynomial(table: dict) -> LaurentPoly:
     """sum (-1)^((j-i)/2) * rank * A^j over a table of ranks or groups."""
-    total = LaurentPoly.zero()
+    coeffs: dict[int, int] = {}
     for (i, j), value in table.items():
         r = value.free_rank if isinstance(value, AbelianGroup) else int(value)
         sign = -1 if ((j - i) // 2) % 2 else 1
-        total = total + LaurentPoly.monomial(sign * r, j)
-    return total
+        coeffs[j] = coeffs.get(j, 0) + sign * r
+    return LaurentPoly(coeffs)
 
 
 def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGroup]:
     """Non-trivial homology groups of one quantum column, keyed by (i, j).
 
-    The column's boundaries are multiplied once (``check_composition``)
-    before ``homology``, which assumes that they compose to zero; a column
-    costs what its generators do, so the product does too.
+    The column is written whole (``KhovanovColumn.complex``) and its
+    boundaries are multiplied once (``check_composition``) before
+    ``homology``, which assumes that they compose to zero; a column costs
+    what its generators do, so the product does too.
     """
     complex_ = build_column(diagram, j).complex()
     complex_.check_composition()
@@ -549,7 +498,7 @@ def full_homology_table(
     flip data of each mask is worked out once, and ``_check_squares``
     certifies d∘d = 0 on it for every column before any is reduced.  Each
     column's boundaries are written as ``homology`` reaches them, on the
-    generators still alive (``_TableColumn``).
+    generators still alive (``KhovanovColumn.restrict``).
     Non-planar PD codes are rejected with ``NonPlanarDiagramError`` before
     any other work, then diagrams above ``limit`` with ``TableSizeError``.
     A ``writhe`` given for ``framed_to_oriented`` is checked next, before
@@ -570,10 +519,10 @@ def full_homology_table(
     columns = _census(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
     for j in sorted(columns):
-        groups = homology(_TableColumn(flips, columns[j]))
+        groups = homology(KhovanovColumn(flips.__getitem__, j, columns[j]))
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
-    return table, _bracket(_histogram(kept, c))
+    return table, euler_polynomial(_ranks(_histogram(kept, c)))
 
 
 def _check_limit(diagram: Diagram, limit: int | None) -> None:

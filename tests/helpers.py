@@ -26,7 +26,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from almax.diagram import Diagram, DiagramError, Resolution, State, resolve
 from almax.homology import AbelianGroup, IntMatrix
-from almax.khovanov import LOOP_VALUE, LaurentPoly
+from almax.khovanov import LaurentPoly
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
 from almax.state_graph import StateGraph, is_a_adequate
 from almax.xd import tuple_cell_id
@@ -225,13 +225,20 @@ def shift_table(table: dict, di: int, dj: int) -> dict:
 
 
 def bracket_oracle(diagram: Diagram) -> LaurentPoly:
-    """Kauffman bracket as the state sum of A^sigma * d^circles over ``trace_circle_count``."""
+    """Kauffman bracket as the state sum of A^sigma * d^circles over ``trace_circle_count``.
+
+    Each d^k = (-A^2 - A^-2)^k is expanded here by the binomial theorem:
+    choosing -A^-2 from n of the k factors gives (-1)^k comb(k, n) A^(2k - 4n).
+    """
     c = diagram.crossing_count
-    total = LaurentPoly.zero()
+    coeffs: dict[int, int] = {}
     for mask in range(1 << c):
-        circles = trace_circle_count(diagram, mask_state(c, mask))
-        total = total + LaurentPoly.monomial(1, c - 2 * mask.bit_count()) * LOOP_VALUE**circles
-    return total
+        k = trace_circle_count(diagram, mask_state(c, mask))
+        sigma = c - 2 * mask.bit_count()
+        for n in range(k + 1):
+            e = sigma + 2 * k - 4 * n
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** k * math.comb(k, n)
+    return LaurentPoly(coeffs)
 
 
 # --- enhanced-state oracles ---------------------------------------------------

@@ -144,6 +144,11 @@ class TestSerialization:
         doc = {"crossings": [], "free_loops": 1}
         assert diagram_from_json_dict(doc).crossing_count == 0
 
+    def test_json_unknown_key_rejected(self):
+        # a misspelt "free_loops" must not silently fall back to the default
+        with pytest.raises(PDSyntaxError, match=r"unknown keys in diagram JSON: \['free_loop'\]"):
+            diagram_from_json_dict({"crossings": [], "free_loop": 2})
+
 
 class TestResolve:
     def test_left_trefoil_all_a_has_three_circles(self, left_trefoil):

@@ -398,6 +398,15 @@ def test_non_integer_diagram_json_is_one_error_line(capsys, command, doc, value)
     assert line.startswith("error:") and value in line
 
 
+@pytest.mark.parametrize("command", ["analyze", "table"])
+def test_unknown_diagram_json_key_is_one_error_line(capsys, command):
+    # a misspelt "free_loops" would otherwise run the unknot
+    assert main([command, '{"crossings": [], "free_loop": 2}']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown keys in diagram JSON: ['free_loop']\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["table", LEFT_TREFOIL], ["analyze", FIGURE_EIGHT]], ids=["table", "analyze"]
 )
@@ -451,6 +460,28 @@ class TestCliTable:
         assert main(["table", LEFT_TREFOIL]) == 1
         monkeypatch.setenv("ALMAX_MAX_C", "3")
         assert main(["table", LEFT_TREFOIL]) == 0
+
+    def test_negative_size_bound_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["table", "UNKNOT", "--max-c", "-1"])
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "almax table: error: argument --max-c: must be a non-negative integer, got -1"
+        )
+        assert main(["table", "UNKNOT", "--max-c", "0"]) == 0
+
+    def test_negative_size_bound_env_falls_back_to_the_default(self, monkeypatch, capsys):
+        # with the default lowered to 3, the trefoil fits and 8_20 does not,
+        # so the bound that ran is the default, not -1
+        monkeypatch.setattr(cli_module, "DEFAULT_TABLE_LIMIT", 3)
+        monkeypatch.setenv("ALMAX_MAX_C", "-1")
+        assert main(["table", LEFT_TREFOIL]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: ignoring negative ALMAX_MAX_C='-1'\n"
+        assert main(["table", KNOT_8_20]) == 1
+        assert "table mode is capped at 3" in capsys.readouterr().err
 
     def test_bad_writhe_parity(self, capsys):
         assert main(["table", LEFT_TREFOIL, "--writhe", "2"]) == 1
