@@ -123,9 +123,6 @@ class IntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self.data.values())
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -309,12 +306,6 @@ class IntegerChainComplex:
                 raise ValueError(
                     f"boundary at degree {k} has shape {mat.rows}x{mat.cols}, expected {want}"
                 )
-
-    def boundary(self, k: int) -> IntMatrix:
-        mat = self.boundaries.get(k)
-        if mat is None:
-            mat = IntMatrix(self.ranks.get(k - self.step, 0), self.ranks.get(k, 0))
-        return mat
 
     def restrict(self, k: int, cols) -> tuple[dict, dict[int, set[int]]]:
         """The rows of d_k restricted to ``cols``, and the rows of each column (``_index``)."""

@@ -17,11 +17,12 @@ mask met once and derived from its parent, and it returns the resolutions
 of the masks it keeps as a plain dict by mask.  ``build_column`` runs it
 with the deficit cut for one j; ``full_homology_table``,
 ``kauffman_bracket`` and ``generator_rank_table`` run it whole.  ``_census``
-files the enhanced states of a walk by (j, i), and ``_histogram`` counts
-its masks per (sigma, circles).  Each call walks once; nothing is cached
-between calls.  There is one count of enhanced states, ``_ranks``, which
-expands the histogram by binomial coefficients; the Kauffman bracket is
-its ``euler_polynomial``, because d^k = (-1)^k sum_n comb(k, n) A^(2k-4n).
+files the enhanced states of one j on a walk's masks by i.  Each call
+walks once; nothing is cached between calls.  There is one count of
+enhanced states, ``_ranks``, which counts a walk's masks per (sigma,
+circles) and expands those counts by binomial coefficients, without
+building a state; the Kauffman bracket is its ``euler_polynomial``,
+because d^k = (-1)^k sum_n comb(k, n) A^(2k-4n).
 
 ``_mask_flips`` works out a kept mask's flip data: per A-crossing, the
 incidence and the circle bits before and after the flip.  ``_images`` is
@@ -32,11 +33,13 @@ column type, ``KhovanovColumn``: it stores generators and a way to get
 flip data, no boundary, and has two reads.  ``homology`` reads it through
 ``restrict``, asking for d_i once it has cancelled d_(i+2), so
 ``_boundary`` images only the generators of degree i that survived; this
-is how the table reduces its columns.  The table works out every mask's
-flip data once per walk (``_flips``) and shares it among its columns and
-``_check_squares``, which certifies d∘d = 0 for the whole table from the
-same data and rule, one square of the cube at a time, instead of
-multiplying matrices.  ``complex`` writes every boundary whole into an
+is how the table reduces its columns, one j at a time: it files a
+column's generators, reduces them and drops them before it files the
+next, so it holds one column's generators at a time.  It works out every
+mask's flip data once per walk (``_flips``) and shares it among its
+columns and ``_check_squares``, which certifies d∘d = 0 for the whole
+table from the same data and rule, one square of the cube at a time,
+instead of multiplying matrices.  ``complex`` writes every boundary whole into an
 ``IntMatrix``: ``column_homology`` multiplies that with
 ``IntegerChainComplex.check_composition`` before ``homology``.  Its
 column (``build_column``) needs each mask's flip data once, so it keeps
@@ -84,9 +87,6 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def coefficient(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
 
     def render(self) -> str:
         if not self.coeffs:
@@ -165,7 +165,9 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     deficit never drops from a mask to a superset, and a mask whose deficit
     already rules out j is dropped together with everything above it.  The
     cut walk thus costs the column times c, not 2^c; without ``j`` it keeps
-    all 2^c masks.
+    all 2^c masks.  What it returns holds one resolution per mask and no
+    enhanced state: ``_ranks`` counts the states from it, and ``_census``
+    files those of one j.
     """
     steps = step_table(diagram)
     c = diagram.crossing_count
@@ -191,29 +193,21 @@ def _enhancements(mask: int, circles, negatives: int) -> list[tuple[int, int]]:
     return [(mask, sum(combo)) for combo in combinations(bits, negatives)]
 
 
-def _census(kept: dict[int, _Res], c: int, j: int | None = None) -> dict[int, dict[int, list]]:
-    """Every enhanced state on the ``kept`` masks, filed by j and then by i, in walk order.
+def _census(kept: dict[int, _Res], c: int, j: int) -> dict[int, list]:
+    """The enhanced states of quantum grading j on the ``kept`` masks, by i, in walk order.
 
     A state with B-count r and n of its k circles negative sits at
-    i = c - 2r and j = i + 2(k - 2n).  With ``j`` given, only that column
-    is filed.
+    i = c - 2r and j = i + 2(k - 2n).  So a mask holds states of j only for
+    n = (i + 2k - j) / 4, and only if that is an integer in 0..k.
     """
-    columns: dict[int, dict[int, list]] = {}
+    per_i: dict[int, list] = {}
     for mask, (circles, _) in kept.items():
         i = c - 2 * mask.bit_count()
         k = len(circles)
-        for negatives in range(k + 1):
-            at = i + 2 * (k - 2 * negatives)
-            if j is None or at == j:
-                columns.setdefault(at, {}).setdefault(i, []).extend(
-                    _enhancements(mask, circles, negatives)
-                )
-    return columns
-
-
-def _histogram(kept: dict[int, _Res], c: int) -> Counter:
-    """Number of masks per (sigma, circles): all that ranks and the bracket need."""
-    return Counter((c - 2 * mask.bit_count(), len(circles)) for mask, (circles, _) in kept.items())
+        negatives, rest = divmod(i + 2 * k - j, 4)
+        if not rest and 0 <= negatives <= k:
+            per_i.setdefault(i, []).extend(_enhancements(mask, circles, negatives))
+    return per_i
 
 
 def _mask_flips(kept: dict[int, _Res], mask: int) -> dict[int, tuple[int, int, int, int, int]]:
@@ -390,9 +384,8 @@ class KhovanovColumn:
 
     step = 2
 
-    def __init__(self, flips_of: Callable[[int], dict], j: int, generators: dict[int, list]):
+    def __init__(self, flips_of: Callable[[int], dict], generators: dict[int, list]):
         self.flips_of = flips_of
-        self.j = j
         self.generators = generators
         self.ranks = {i: len(gens) for i, gens in generators.items()}
 
@@ -425,18 +418,19 @@ def build_column(diagram: Diagram, j: int) -> KhovanovColumn:
     """
     check_planar(diagram)
     kept = _walk(diagram, j)
-    per_i = _census(kept, diagram.crossing_count, j).get(j, {})
+    per_i = _census(kept, diagram.crossing_count, j)
     # each mask is a source of one boundary only, so its flip data is not kept
-    return KhovanovColumn(lambda mask: _mask_flips(kept, mask), j, per_i)
+    return KhovanovColumn(lambda mask: _mask_flips(kept, mask), per_i)
 
 
-def _ranks(histogram: Counter) -> dict[tuple[int, int], int]:
-    """Number of enhanced states per (i, j) from a ``_histogram``, without building them.
+def _ranks(kept: dict[int, _Res], c: int) -> dict[tuple[int, int], int]:
+    """Number of enhanced states per (i, j) on the ``kept`` masks, without building them.
 
-    A state with ``circles`` circles and B-count r has comb(circles, n)
-    enhancements with n negative circles, all at i = c - 2r and
-    j = i + 2 * (circles - 2n).
+    The masks are counted per (sigma, circles).  A mask with ``circles``
+    circles and B-count r has comb(circles, n) enhancements with n negative
+    circles, all at i = sigma = c - 2r and j = i + 2 * (circles - 2n).
     """
+    histogram = Counter((c - 2 * mask.bit_count(), len(res[0])) for mask, res in kept.items())
     table: dict[tuple[int, int], int] = {}
     for (sigma, circles), masks in histogram.items():
         for negatives in range(circles + 1):
@@ -454,13 +448,13 @@ def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
     count identity sum (-1)^((j-i)/2) rank C_{i,j} A^j, and is worked out
     as exactly that: ``euler_polynomial`` of the ranks.
     """
-    return euler_polynomial(_ranks(_histogram(_walk(diagram), diagram.crossing_count)))
+    return euler_polynomial(_ranks(_walk(diagram), diagram.crossing_count))
 
 
 def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT) -> dict:
     """Number of enhanced states per (i, j), counted per state without building them."""
     _check_limit(diagram, limit)
-    return _ranks(_histogram(_walk(diagram), diagram.crossing_count))
+    return _ranks(_walk(diagram), diagram.crossing_count)
 
 
 def euler_polynomial(table: dict) -> LaurentPoly:
@@ -492,13 +486,16 @@ def full_homology_table(
 ) -> tuple[dict[tuple[int, int], AbelianGroup], LaurentPoly]:
     """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
 
-    One walk of the cube resolves each mask once; every enhanced state is
-    filed under its (j, i) in the order the walk met its mask, and the
-    masks counted per (sigma, circles) give the Kauffman bracket.  The
-    flip data of each mask is worked out once, and ``_check_squares``
-    certifies d∘d = 0 on it for every column before any is reduced.  Each
-    column's boundaries are written as ``homology`` reaches them, on the
-    generators still alive (``KhovanovColumn.restrict``).
+    One walk of the cube resolves each mask once.  The flip data of each
+    mask is worked out once, and ``_check_squares`` certifies d∘d = 0 on
+    it for every column before any is reduced.  ``_ranks`` counts the
+    enhanced states per (i, j) once: its js are the columns, and its
+    ``euler_polynomial`` is the Kauffman bracket.  The columns are then
+    reduced one at a time, in ascending j: ``_census`` files a column's
+    generators in the order the walk met their masks, its boundaries are
+    written as ``homology`` reaches them, on the generators still alive
+    (``KhovanovColumn.restrict``), and the column is dropped before the
+    next is filed, so the peak follows the largest column, not the cube.
     Non-planar PD codes are rejected with ``NonPlanarDiagramError`` before
     any other work, then diagrams above ``limit`` with ``TableSizeError``.
     A ``writhe`` given for ``framed_to_oriented`` is checked next, before
@@ -516,13 +513,13 @@ def full_homology_table(
     kept = _walk(diagram)
     flips = _flips(kept)
     _check_squares(flips)
-    columns = _census(kept, c)
+    ranks = _ranks(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
-    for j in sorted(columns):
-        groups = homology(KhovanovColumn(flips.__getitem__, j, columns[j]))
+    for j in sorted({j for _, j in ranks}):
+        groups = homology(KhovanovColumn(flips.__getitem__, _census(kept, c, j)))
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
-    return table, euler_polynomial(_ranks(_histogram(kept, c)))
+    return table, euler_polynomial(ranks)
 
 
 def _check_limit(diagram: Diagram, limit: int | None) -> None:

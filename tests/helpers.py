@@ -594,10 +594,15 @@ def compose(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def compositions_vanish(complex_) -> bool:
-    """Whether every d_(k - step) d_k of an ``IntegerChainComplex`` is the zero matrix."""
+    """Whether every d_(k - step) d_k of an ``IntegerChainComplex`` is the zero matrix.
+
+    A boundary the complex does not store is a zero map, so its products vanish.
+    """
+    boundaries, step = complex_.boundaries, complex_.step
     return all(
-        compose(complex_.boundary(k - complex_.step), upper).is_zero()
-        for k, upper in complex_.boundaries.items()
+        not compose(boundaries[k - step], upper).data
+        for k, upper in boundaries.items()
+        if k - step in boundaries
     )
 
 

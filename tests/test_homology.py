@@ -195,7 +195,7 @@ class TestIntMatrix:
         m = IntMatrix(2, 2)
         m.add(0, 0, 1)
         m.add(0, 0, -1)
-        assert m.is_zero()
+        assert not m.data
 
     def test_shape_checked(self):
         m = IntMatrix(2, 2)

@@ -160,8 +160,8 @@ class TestChainComplex:
             faces={1: ((0, 0), (0, 0)), 2: ((0, 1, 0),)},
         )
         cx = chain_complex(pps, reduced=False)
-        assert cx.boundary(1).data == {}
-        assert cx.boundary(2).data == {0: {0: 2}, 1: {0: -1}}
+        assert cx.boundaries[1].data == {}
+        assert cx.boundaries[2].data == {0: {0: 2}, 1: {0: -1}}
         assert nonzero_groups(homology(cx)) == {0: AbelianGroup(1), 1: AbelianGroup(1)}
 
     def test_empty_set_is_a_minus_one_sphere(self):
