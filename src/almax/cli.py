@@ -62,7 +62,7 @@ def _load_diagram(value: str):
     if stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is malformed
             raise PDSyntaxError(f"diagram JSON is not valid JSON: {exc}") from None
         return diagram_from_json_dict(doc)
     return parse_pd(stripped)
@@ -231,11 +231,15 @@ def _cmd_pps(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_pps(args)
+        code = {"analyze": _cmd_analyze, "table": _cmd_table, "pps": _cmd_pps}[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: say nothing, and flush into devnull
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_USAGE
     except (InadequateDiagramError, DisconnectedDiagramError, NonPlanarDiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DIAGRAM

@@ -148,24 +148,6 @@ class State:
     def all_a(cls, crossing_count: int) -> "State":
         return cls(("A",) * crossing_count)
 
-    @classmethod
-    def all_b(cls, crossing_count: int) -> "State":
-        return cls(("B",) * crossing_count)
-
-    @classmethod
-    def from_b_indices(cls, crossing_count: int, b_indices) -> "State":
-        b = set(b_indices)
-        return cls(tuple("B" if i in b else "A" for i in range(crossing_count)))
-
-    def flip(self, crossing: int) -> "State":
-        labels = list(self.labels)
-        labels[crossing] = "B" if labels[crossing] == "A" else "A"
-        return State(tuple(labels))
-
-    def swapped(self) -> "State":
-        """A<->B on every crossing (the state seen by the mirror diagram)."""
-        return State(tuple("B" if l == "A" else "A" for l in self.labels))
-
 
 @dataclass
 class Resolution:
@@ -180,10 +162,6 @@ class Resolution:
 
     circles: tuple[int, ...]
     end_circle: list[int] = field(repr=False)
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
 
 
 # slot -> the slot a smoothing joins it to: A joins {0,1} and {2,3}, B joins {0,3} and {1,2}
@@ -301,8 +279,9 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
 def mirror(diagram: Diagram) -> Diagram:
     """Mirror image: each quadruple (e0,e1,e2,e3) rotates to (e1,e2,e3,e0).
 
-    Consequently ``resolve(mirror(D), s) == resolve(D, s.swapped())`` up to
-    the relabelling of arc ends induced by the slot rotation.
+    Consequently ``resolve(mirror(D), s)`` has the circles of ``resolve(D, t)``,
+    where t swaps A and B at every crossing of s, up to the relabelling of
+    arc ends induced by the slot rotation.
     """
     rotated = tuple((q[1], q[2], q[3], q[0]) for q in diagram.crossings)
     return Diagram(rotated, diagram.free_loops)

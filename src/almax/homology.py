@@ -85,39 +85,27 @@ class ChainComplexError(ValueError):
 
 
 class IntMatrix:
-    """Sparse integer matrix (dict-of-rows), sized rows x cols."""
+    """Sparse integer matrix, sized rows x cols, with the dict-of-rows ``data``.
+
+    ``data`` maps a row to {column: non-zero entry} and holds no empty row;
+    it is taken as given, neither copied nor checked.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+    def __init__(self, rows: int, cols: int, data: dict[int, dict[int, int]] | None = None):
         self.rows = rows
         self.cols = cols
-        self.data: dict[int, dict[int, int]] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if v:
-                    self.add(r, c, v)
+        self.data = {} if data is None else data
 
     @classmethod
     def from_rows(cls, dense) -> "IntMatrix":
-        m = cls(len(dense), len(dense[0]) if dense else 0)
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    m.add(r, c, v)
-        return m
-
-    def add(self, r: int, c: int, v: int) -> None:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-        row = self.data.setdefault(r, {})
-        new = row.get(c, 0) + v
-        if new:
-            row[c] = new
-        else:
-            row.pop(c, None)
-            if not row:
-                del self.data[r]
+        """The matrix of a list of rows, as wide as the first; a longer row raises IndexError."""
+        cols = len(dense[0]) if dense else 0
+        if any(len(row) > cols for row in dense):
+            raise IndexError(f"a row is longer than the first, which has {cols} entries")
+        rows = ({c: v for c, v in enumerate(row) if v} for row in dense)
+        return cls(len(dense), cols, {r: row for r, row in enumerate(rows) if row})
 
     @property
     def nnz(self) -> int:
@@ -125,10 +113,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def _as_matrix(matrix) -> IntMatrix:
-    return matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
 
 
 def _index(data: dict[int, dict[int, int]], cols) -> tuple[dict, dict[int, set[int]]]:
@@ -217,10 +201,8 @@ def _compact(rows: dict[int, dict[int, int]]) -> IntMatrix:
     """The non-zero rows and columns of a dict-of-rows matrix, renumbered from 0."""
     live_cols = sorted({c for row in rows.values() for c in row})
     col_index = {c: i for i, c in enumerate(live_cols)}
-    m = IntMatrix(len(rows), len(live_cols))
-    for i, r in enumerate(sorted(rows)):
-        m.data[i] = {col_index[c]: v for c, v in rows[r].items()}
-    return m
+    data = {i: {col_index[c]: v for c, v in rows[r].items()} for i, r in enumerate(sorted(rows))}
+    return IntMatrix(len(rows), len(live_cols), data)
 
 
 def _finish(rows: dict[int, dict[int, int]]) -> list[int]:
@@ -281,7 +263,7 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     path: +-1 pivots are cancelled first (each an invariant factor 1), and
     ``_finish`` pivots on least entries of the leftover.
     """
-    m = _as_matrix(matrix)
+    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
     rows, col_rows = _index(m.data, range(m.cols))
     pivots, _ = _cancel_units(rows, col_rows)
     return (1,) * len(pivots) + tuple(_finish(rows))

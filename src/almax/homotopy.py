@@ -82,11 +82,3 @@ def homotopy_type(graph: StateGraph) -> HomotopyType:
     if c < 3:
         raise AssertionError("an odd cycle needs at least 3 edges")
     return HomotopyType(spheres=(c - 2,) * (p1 - 1), rp2_suspensions=c - 3)
-
-
-def suspend(htype: HomotopyType, q: int) -> HomotopyType:
-    """q-fold suspension: sphere dimensions and the RP^2 suspension count rise by q."""
-    if q < 0:
-        raise ValueError("suspension count must be >= 0")
-    rp2 = None if htype.rp2_suspensions is None else htype.rp2_suspensions + q
-    return HomotopyType(spheres=tuple(d + q for d in htype.spheres), rp2_suspensions=rp2)

@@ -402,9 +402,10 @@ class KhovanovColumn:
         for i in sorted(self.generators, reverse=True):
             sources = self.generators[i]
             targets = self.generators.get(i - 2, [])
-            boundaries[i] = mat = IntMatrix(len(targets), len(sources))
+            rows = {}
             if targets:
-                mat.data = _boundary(self.flips_of, sources, targets, range(len(sources)))
+                rows = _boundary(self.flips_of, sources, targets, range(len(sources)))
+            boundaries[i] = IntMatrix(len(targets), len(sources), rows)
         return IntegerChainComplex(ranks=self.ranks, boundaries=boundaries, step=2)
 
 

@@ -158,14 +158,13 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
                     del row[col]
                     if not row:
                         del rows[target]
-        boundaries[k] = mat = IntMatrix(ranks[k - 1], ranks[k])
-        mat.data = rows
+        boundaries[k] = IntMatrix(ranks[k - 1], ranks[k], rows)
 
     if reduced and not pps.is_proper():
         ranks[-1] = 1
-        boundaries[0] = aug = IntMatrix(1, ranks.get(0, 0))
-        if ranks.get(0, 0):
-            aug.data[0] = dict.fromkeys(range(ranks[0]), 1)
+        points = ranks.get(0, 0)
+        ones = {0: dict.fromkeys(range(points), 1)} if points else {}
+        boundaries[0] = IntMatrix(1, points, ones)
     elif reduced:
         ranks[-1] = 0
     return IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=1)
@@ -251,6 +250,6 @@ def pps_to_json(pps: PartialPresimplicialSet) -> str:
 def pps_from_json(text: str) -> PartialPresimplicialSet:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is malformed
         raise PPSError(f"not valid JSON: {exc}") from None
     return pps_from_json_dict(doc)

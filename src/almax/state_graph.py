@@ -145,15 +145,3 @@ def graph_to_json_dict(graph: StateGraph) -> dict:
         "vertices": [names[v] for v in graph.vertices],
         "edges": [[names[u], names[v]] for u, v in graph.edges],
     }
-
-
-def graph_from_json_dict(doc: dict) -> StateGraph:
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise GraphError("graph JSON must be an object with 'vertices' and 'edges'")
-    vertices = tuple(doc["vertices"])
-    edges = []
-    for e in doc["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise GraphError(f"edge entries must be pairs, got {e!r}")
-        edges.append((e[0], e[1]))
-    return StateGraph(vertices=vertices, edges=tuple(edges))

@@ -215,7 +215,7 @@ def random_pd_codes(count: int, seed: int, max_crossings: int = 4):
 def j_extremes(diagram: Diagram) -> tuple[int, int]:
     """(j_max, j_almax): c + 2|all-A circles| and four less, the circles by ``resolve``."""
     res = resolve(diagram, State.all_a(diagram.crossing_count))
-    j_max = diagram.crossing_count + 2 * res.circle_count
+    j_max = diagram.crossing_count + 2 * len(res.circles)
     return j_max, j_max - 4
 
 
@@ -250,7 +250,7 @@ def bracket_oracle(diagram: Diagram) -> LaurentPoly:
 
 
 def mask_state(c: int, mask: int) -> State:
-    return State.from_b_indices(c, [x for x in range(c) if mask >> x & 1])
+    return State(tuple("B" if mask >> x & 1 else "A" for x in range(c)))
 
 
 def sign_map(diagram: Diagram, generator) -> dict:
@@ -356,7 +356,7 @@ def almost_extreme_generators(diagram: Diagram) -> dict:
     per_i = {c: [(0, frozenset({name})) for name in all_a]}
     for mask in range(1, 1 << c):
         r = mask.bit_count()
-        if resolve(diagram, mask_state(c, mask)).circle_count == len(all_a) + r - 2:
+        if len(resolve(diagram, mask_state(c, mask)).circles) == len(all_a) + r - 2:
             per_i.setdefault(c - 2 * r, []).append((mask, frozenset()))
     return per_i
 
@@ -581,7 +581,7 @@ def compose(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The matrix product a @ b, entry by entry; zero entries are not stored."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = IntMatrix(a.rows, b.cols)
+    data = {}
     for r, row in a.data.items():
         acc: dict[int, int] = {}
         for k, v in row.items():
@@ -589,8 +589,8 @@ def compose(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 acc[c] = acc.get(c, 0) + v * w
         kept = {c: v for c, v in acc.items() if v}
         if kept:
-            out.data[r] = kept
-    return out
+            data[r] = kept
+    return IntMatrix(a.rows, b.cols, data)
 
 
 def compositions_vanish(complex_) -> bool:

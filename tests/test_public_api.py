@@ -1,4 +1,5 @@
-"""The README's library example runs as written, and the public names exist."""
+"""The README's library example runs as written, the public names exist, and src/ holds
+nothing that only the tests reach."""
 
 import ast
 import re
@@ -36,3 +37,55 @@ def test_every_public_name_resolves():
     missing = [name for name in almax.__all__ if not hasattr(almax, name)]
     assert not missing
     assert len(set(almax.__all__)) == len(almax.__all__)
+
+
+ROOT = README.parent
+# a bench span target, "almax.<module>:<name>" or "almax.<module>:<Class>.<method>"
+SPAN_TARGET = re.compile(r"almax\.(\w+):([\w.]+)")
+
+
+def public_members():
+    """``module.name`` and ``module.Class.method`` of every public def and class in src/almax."""
+    for path in sorted((ROOT / "src" / "almax").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}"
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name that ``tree`` reads, as a name, an attribute or an imported alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_member_is_reached():
+    # what no command, bench script, README example or package export reaches
+    # serves only the tests, and does not belong in src/
+    names = set(almax.__all__) | used_names(ast.parse(library_block()))
+    targets = set()
+    for path in [*(ROOT / "src" / "almax").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        names |= used_names(tree)
+        if path.parent.name == "bench":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    match = SPAN_TARGET.fullmatch(node.value)
+                    if match:
+                        targets.add(".".join(match.groups()))
+    unreached = [
+        member for member in public_members()
+        if member.rpartition(".")[2] not in names and member not in targets
+    ]
+    assert not unreached, f"only the tests reach {unreached}"

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -175,8 +178,8 @@ class TestAnalyzeDiagram:
                 d = rotation_pd(rotation)
                 c = d.crossing_count
                 genus_zero = (
-                    resolve(d, State.all_a(c)).circle_count
-                    + resolve(d, State.all_b(c)).circle_count
+                    len(resolve(d, State.all_a(c)).circles)
+                    + len(resolve(d, State(("B",) * c)).circles)
                     == c + 2
                 )
                 if not genus_zero:
@@ -511,6 +514,15 @@ class TestCliTable:
         assert "table mode is capped at 14" in err
         assert "Errno" not in err
 
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"crossings": ' + "[" * 200_000)
+        assert main(["table", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: diagram JSON is not valid JSON")
+
 
 class TestCliPps:
     @pytest.fixture
@@ -598,6 +610,15 @@ class TestCliPps:
     def test_missing_file(self, capsys):
         assert main(["pps", "validate", "/nonexistent/file.json"]) == 1
 
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"top_dim": ' + "[" * 200_000)
+        assert main(["pps", "validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: not valid JSON")
+
     @pytest.mark.parametrize("command", ["validate", "homology"])
     @pytest.mark.parametrize("doc, key", MALFORMED_PPS.values(), ids=MALFORMED_PPS)
     def test_malformed_document_is_one_error_line(self, tmp_path, capsys, command, doc, key):
@@ -621,3 +642,34 @@ class TestConsoleEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["homology"]["direct"] == {"0,-2": "Z"}
         assert doc["homotopy_type"] == "S^-1"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_and_prints_nothing(self, buffered):
+        # the reader has gone before the command writes; a buffered stdout meets
+        # the closed pipe only when it is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["table", to_pd_text(torus_two_strand(8)), "--format", "json"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "almax.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_broken_pipe_in_process_leaves_a_stringio_stdout_alone(self, monkeypatch):
+        def closed(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli_module, "_cmd_table", closed)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["table", LEFT_TREFOIL]) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", "")

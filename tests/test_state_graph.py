@@ -9,7 +9,6 @@ from almax.state_graph import (
     StateGraph,
     build_state_graph,
     cyclomatic_number,
-    graph_from_json_dict,
     graph_to_json_dict,
     is_a_adequate,
     is_b_adequate,
@@ -100,10 +99,11 @@ class TestAdequacy:
         for d in corpus.values():
             if not is_a_adequate(d):
                 continue
-            base = resolve(d, State.all_a(d.crossing_count)).circle_count
-            for x in range(d.crossing_count):
-                flipped = resolve(d, State.all_a(d.crossing_count).flip(x))
-                assert flipped.circle_count == base - 1
+            c = d.crossing_count
+            base = len(resolve(d, State.all_a(c)).circles)
+            for x in range(c):
+                flipped = resolve(d, State(tuple("B" if y == x else "A" for y in range(c))))
+                assert len(flipped.circles) == base - 1
 
 
 class TestSimpleReduction:
@@ -182,10 +182,6 @@ class TestBipartite:
 
 
 class TestGraphJson:
-    def test_round_trip(self):
-        doc = graph_to_json_dict(TRIANGLE)
-        assert graph_from_json_dict(doc) == TRIANGLE
-
     def test_diagram_vertices_format(self, left_trefoil):
         g = build_state_graph(left_trefoil, State.all_a(3))
         doc = graph_to_json_dict(g)

@@ -151,13 +151,12 @@ class TestStructuralCounts:
 
     def test_graph_json_feeds_the_builder(self):
         # graph-level experiments: a JSON graph goes straight into the construction
-        from almax.state_graph import graph_from_json_dict
-
         doc = {
             "vertices": ["T0", "T1", "T2"],
             "edges": [["T0", "T1"], ["T1", "T2"], ["T0", "T2"]],
         }
-        pps = build_xd(graph_from_json_dict(doc))
+        graph = StateGraph(vertices=tuple(doc["vertices"]), edges=tuple(map(tuple, doc["edges"])))
+        pps = build_xd(graph)
         assert reduced_homology(pps) == {1: AbelianGroup(0, (2,))}
 
 
