@@ -50,6 +50,9 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):  # argparse drops an OSError here; main handles it
+        (sys.stdout if file is None else file).write(self.format_help())
+
 
 def _load_diagram(value: str):
     try:
@@ -229,8 +232,12 @@ def _cmd_pps(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after --help: a closed stdout shows in this flush
+            sys.stdout.flush()
+            raise
         code = {"analyze": _cmd_analyze, "table": _cmd_table, "pps": _cmd_pps}[args.command](args)
         sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's final flush
         return code

@@ -317,6 +317,20 @@ def reorder_crossings(diagram: Diagram, order) -> Diagram:
     return Diagram(tuple(diagram.crossings[o] for o in order), diagram.free_loops)
 
 
+def _quote(token: str, width: int = 40) -> str:
+    """``repr(token)`` if it fits in ``width`` characters.
+
+    Otherwise the repr of the longest prefix that fits, and the token's
+    length, so that an error line stays short whatever the input.
+    """
+    prefix = token[:width]
+    while len(repr(prefix)) > width:
+        prefix = prefix[:-1]
+    if prefix == token:
+        return repr(token)
+    return f"{prefix!r}... ({len(token)} characters)"
+
+
 def parse_pd(text: str) -> Diagram:
     """Parse PD-code text: 'UNKNOT' or semicolon-separated X(a,b,c,d) tokens."""
     stripped = text.strip()
@@ -329,7 +343,7 @@ def parse_pd(text: str) -> Diagram:
         token = raw.strip()
         m = _TOKEN_RE.match(token)
         if not m:
-            raise PDSyntaxError(f"malformed PD token {token!r}")
+            raise PDSyntaxError(f"malformed PD token {_quote(token)}")
         quads.append(tuple(int(g) for g in m.groups()))
     return Diagram(tuple(quads))
 

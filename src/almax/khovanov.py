@@ -16,13 +16,15 @@ There is one walk of the cube, ``_walk``: depth-first from all-A, each
 mask met once and derived from its parent, and it returns the resolutions
 of the masks it keeps as a plain dict by mask.  ``build_column`` runs it
 with the deficit cut for one j; ``full_homology_table``,
-``kauffman_bracket`` and ``generator_rank_table`` run it whole.  ``_census``
-files the enhanced states of one j on a walk's masks by i.  Each call
-walks once; nothing is cached between calls.  There is one count of
-enhanced states, ``_ranks``, which counts a walk's masks per (sigma,
-circles) and expands those counts by binomial coefficients, without
-building a state; the Kauffman bracket is its ``euler_polynomial``,
-because d^k = (-1)^k sum_n comb(k, n) A^(2k-4n).
+``kauffman_bracket`` and ``generator_rank_table`` run it whole.
+``_file_by_j`` files a walk's masks under the js asked for, in one pass,
+and ``_census`` builds the enhanced states of one j by i, visiting only
+the masks filed under it; the table (every j) and ``build_column`` (one)
+both go this way.  Each call walks once; nothing is cached between calls.  There is
+one count of enhanced states, ``_ranks``, which counts a walk's masks per
+(sigma, circles) and expands those counts by binomial coefficients,
+without building a state; the Kauffman bracket is its
+``euler_polynomial``, because d^k = (-1)^k sum_n comb(k, n) A^(2k-4n).
 
 ``_mask_flips`` works out a kept mask's flip data: per A-crossing, the
 incidence and the circle bits before and after the flip.  ``_images`` is
@@ -36,14 +38,15 @@ flip data, no boundary, and has two reads.  ``homology`` reads it through
 is how the table reduces its columns, one j at a time: it files a
 column's generators, reduces them and drops them before it files the
 next, so it holds one column's generators at a time.  It works out every
-mask's flip data once per walk (``_flips``) and shares it among its
-columns and ``_check_squares``, which certifies d∘d = 0 for the whole
-table from the same data and rule, one square of the cube at a time,
-instead of multiplying matrices.  ``complex`` writes every boundary whole into an
-``IntMatrix``: ``column_homology`` multiplies that with
-``IntegerChainComplex.check_composition`` before ``homology``.  Its
-column (``build_column``) needs each mask's flip data once, so it keeps
-none.
+mask's flip data once per walk (``_flips``), storing equal flips as one
+object, and shares it among its columns and ``_check_squares``, which
+certifies d∘d = 0 for the whole table from the same data and rule, one
+square of the cube at a time, instead of multiplying matrices; a square
+met before, by its four flip entries, is not checked again.  ``complex``
+writes every boundary whole into an ``IntMatrix``: ``column_homology``
+multiplies that with ``IntegerChainComplex.check_composition`` before
+``homology``.  Its column (``build_column``) needs each mask's flip data
+once, so it keeps none.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     already rules out j is dropped together with everything above it.  The
     cut walk thus costs the column times c, not 2^c; without ``j`` it keeps
     all 2^c masks.  What it returns holds one resolution per mask and no
-    enhanced state: ``_ranks`` counts the states from it, and ``_census``
-    files those of one j.
+    enhanced state: ``_ranks`` counts the states from it, ``_file_by_j``
+    files its masks by j, and ``_census`` builds the states of one j.
     """
     steps = step_table(diagram)
     c = diagram.crossing_count
@@ -193,20 +196,42 @@ def _enhancements(mask: int, circles, negatives: int) -> list[tuple[int, int]]:
     return [(mask, sum(combo)) for combo in combinations(bits, negatives)]
 
 
-def _census(kept: dict[int, _Res], c: int, j: int) -> dict[int, list]:
-    """The enhanced states of quantum grading j on the ``kept`` masks, by i, in walk order.
+def _file_by_j(kept: dict[int, _Res], c: int, js) -> dict[int, list[int]]:
+    """The ``kept`` masks filed under each quantum grading of ``js`` they hold, in walk order.
 
     A state with B-count r and n of its k circles negative sits at
-    i = c - 2r and j = i + 2(k - 2n).  So a mask holds states of j only for
-    n = (i + 2k - j) / 4, and only if that is an integer in 0..k.
+    i = c - 2r and j = i + 2(k - 2n), so a mask holds states of the k + 1
+    gradings i + 2k - 4n, n = 0..k, and is filed under those asked for in
+    one pass.  Which lists those are depends only on (i, k), so they are
+    looked up once per pair.
+    """
+    by_j: dict[int, list[int]] = {j: [] for j in js}
+    lists_of: dict[tuple[int, int], list[list[int]]] = {}
+    for mask, (circles, _) in kept.items():
+        key = (c - 2 * mask.bit_count(), len(circles))
+        lists = lists_of.get(key)
+        if lists is None:
+            i, k = key
+            held = range(i + 2 * k, i - 2 * k - 1, -4)
+            lists = lists_of[key] = [by_j[j] for j in held if j in by_j]
+        for masks in lists:
+            masks.append(mask)
+    return by_j
+
+
+def _census(kept: dict[int, _Res], c: int, j: int, masks: list[int]) -> dict[int, list]:
+    """The enhanced states of quantum grading j on ``masks``, by i, in the order given.
+
+    ``masks`` are those ``_file_by_j`` files under j, so each holds states
+    of j: those with n = (i + 2k - j) / 4 of its k circles negative.  Only
+    the column's own masks are visited.
     """
     per_i: dict[int, list] = {}
-    for mask, (circles, _) in kept.items():
+    for mask in masks:
+        circles = kept[mask][0]
         i = c - 2 * mask.bit_count()
-        k = len(circles)
-        negatives, rest = divmod(i + 2 * k - j, 4)
-        if not rest and 0 <= negatives <= k:
-            per_i.setdefault(i, []).extend(_enhancements(mask, circles, negatives))
+        negatives = (i + 2 * len(circles) - j) // 4
+        per_i.setdefault(i, []).extend(_enhancements(mask, circles, negatives))
     return per_i
 
 
@@ -242,8 +267,18 @@ def _mask_flips(kept: dict[int, _Res], mask: int) -> dict[int, tuple[int, int, i
 
 
 def _flips(kept: dict[int, _Res]) -> dict[int, dict[int, tuple[int, int, int, int, int]]]:
-    """The flip data of every kept mask, by mask (``_mask_flips``)."""
-    return {mask: _mask_flips(kept, mask) for mask in kept}
+    """The flip data of every kept mask, by mask (``_mask_flips``), equal flips shared.
+
+    Equal flip tuples are stored as one object: the cube has few distinct
+    ones (88 among the 5,120 of 10_44), so the table keeps little flip
+    data, and ``_check_squares`` meets equal squares made of the same
+    objects, which compare by identity.
+    """
+    shared: dict[tuple, tuple] = {}
+    return {
+        mask: {x: shared.setdefault(flip, flip) for x, flip in _mask_flips(kept, mask).items()}
+        for mask in kept
+    }
 
 
 def _images(negs: int, b0: int, b2: int, t0: int, t2: int) -> tuple[int, ...]:
@@ -343,32 +378,39 @@ def _check_squares(flips: dict) -> None:
     A square is a mask and two of its A-crossings x and y.  A generator on
     the mask reaches the mask with both flipped along two paths, x first or
     y first, and along no other two-step path; so d∘d vanishes exactly when
-    every square composes to zero (``_square_commutes``).  The verdict
-    depends only on the product of the four incidences and on which of the
-    square's 16 circle bits are equal, so it is worked out once per such
-    configuration.  This checks the rule ``_images`` on the flip data that
-    ``_boundary`` reads, not each entry ``_boundary`` writes.  A failing
-    square raises ``ChainComplexError`` with the degree of its mask.
+    every square composes to zero (``_square_commutes``).  A square is
+    looked up first by its four flip entries (fx, fxy, fy, fyx): the cube
+    repeats few of them (1,677 distinct among the 11,520 squares of 10_44),
+    and with ``_flips`` sharing equal entries a repeat compares by identity.
+    Only a new one is reduced to its configuration: the product of the four
+    incidences and which of its 16 circle bits are equal, on which alone
+    the verdict depends, so that is worked out once per configuration.
+    This checks the rule ``_images`` on the flip data that ``_boundary``
+    reads, not each entry ``_boundary`` writes.  The squares are visited
+    mask by mask, and the first failing one raises ``ChainComplexError``
+    with the degree of its mask.
     """
-    verdicts: dict[tuple, bool] = {}
+    commuting: set[tuple] = set()  # configurations
+    passed: set[tuple] = set()  # squares, by their flip entries
     for mask, out in flips.items():
-        pairs = list(out.items())
-        for n, (x, fx) in enumerate(pairs):
-            above_x = flips[mask | 1 << x]
-            for y, fy in pairs[n + 1 :]:
-                fxy = above_x[y]
-                fyx = flips[mask | 1 << y][x]
+        pairs = [(x, fx, flips[mask | 1 << x]) for x, fx in out.items()]
+        for n, (x, fx, above_x) in enumerate(pairs):
+            for y, fy, above_y in pairs[n + 1 :]:
+                fxy, fyx = above_x[y], above_y[x]
+                square = (fx, fxy, fy, fyx)
+                if square in passed:
+                    continue
                 sign = fx[0] * fxy[0] * fy[0] * fyx[0]
                 bits = fx[1:] + fxy[1:] + fy[1:] + fyx[1:]
                 key = (sign, *map(bits.index, bits))  # each bit labelled by its first place
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = _square_commutes(
-                        sign, bits[:4], bits[4:8], bits[8:12], bits[12:]
-                    )
-                if not verdict:
-                    degree = len(out) - mask.bit_count()  # c - 2|mask|
-                    raise ChainComplexError(f"boundary composition at degree {degree} is non-zero")
+                if key not in commuting:
+                    if not _square_commutes(sign, bits[:4], bits[4:8], bits[8:12], bits[12:]):
+                        degree = len(out) - mask.bit_count()  # c - 2|mask|
+                        raise ChainComplexError(
+                            f"boundary composition at degree {degree} is non-zero"
+                        )
+                    commuting.add(key)
+                passed.add(square)
 
 
 class KhovanovColumn:
@@ -419,7 +461,8 @@ def build_column(diagram: Diagram, j: int) -> KhovanovColumn:
     """
     check_planar(diagram)
     kept = _walk(diagram, j)
-    per_i = _census(kept, diagram.crossing_count, j)
+    c = diagram.crossing_count
+    per_i = _census(kept, c, j, _file_by_j(kept, c, (j,))[j])
     # each mask is a source of one boundary only, so its flip data is not kept
     return KhovanovColumn(lambda mask: _mask_flips(kept, mask), per_i)
 
@@ -492,8 +535,9 @@ def full_homology_table(
     it for every column before any is reduced.  ``_ranks`` counts the
     enhanced states per (i, j) once: its js are the columns, and its
     ``euler_polynomial`` is the Kauffman bracket.  The columns are then
-    reduced one at a time, in ascending j: ``_census`` files a column's
-    generators in the order the walk met their masks, its boundaries are
+    reduced one at a time, in ascending j: ``_file_by_j`` files the masks
+    under their js once, ``_census`` builds a column's generators from its
+    own masks in the order the walk met them, its boundaries are
     written as ``homology`` reaches them, on the generators still alive
     (``KhovanovColumn.restrict``), and the column is dropped before the
     next is filed, so the peak follows the largest column, not the cube.
@@ -516,8 +560,10 @@ def full_homology_table(
     _check_squares(flips)
     ranks = _ranks(kept, c)
     table: dict[tuple[int, int], AbelianGroup] = {}
-    for j in sorted({j for _, j in ranks}):
-        groups = homology(KhovanovColumn(flips.__getitem__, _census(kept, c, j)))
+    js = sorted({j for _, j in ranks})
+    by_j = _file_by_j(kept, c, js)
+    for j in js:
+        groups = homology(KhovanovColumn(flips.__getitem__, _census(kept, c, j, by_j[j])))
         for i, g in nonzero_groups(groups).items():
             table[(i, j)] = g
     return table, euler_polynomial(ranks)
@@ -527,5 +573,6 @@ def _check_limit(diagram: Diagram, limit: int | None) -> None:
     if limit is not None and diagram.crossing_count > limit:
         raise TableSizeError(
             f"diagram has {diagram.crossing_count} crossings, table mode is capped at "
-            f"{limit} (the state count grows as 2^c); raise the bound explicitly to proceed"
+            f"{limit} (it resolves all 2^c Kauffman states and reduces every enhanced state "
+            "on them, 3^c + 3 for T(2,c)); raise the bound explicitly to proceed"
         )

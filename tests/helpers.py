@@ -15,7 +15,11 @@ sparse matrices entry by entry: the d∘d oracle for complexes that the
 package certifies without a product, and ``unsigned_flips`` breaks d∘d
 by forcing every incidence of a mask's flip data to +1.  ``push_arc_over`` is
 a Reidemeister II move across a face traced as in ``face_count``, for
-invariance checks of the full table.
+invariance checks of the full table.  The last section keeps earlier forms
+of three inner loops of the table as oracles for the faster ones: the
+census that scans every mask per column, the square check with no memo of
+squares, and the unit cancellation that runs a Schur update after every
+pivot.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import random
 from itertools import combinations, combinations_with_replacement, permutations
 
 from almax.diagram import Diagram, DiagramError, Resolution, State, resolve
-from almax.homology import AbelianGroup, IntMatrix
-from almax.khovanov import LaurentPoly
+from almax.homology import AbelianGroup, ChainComplexError, IntMatrix
+from almax.khovanov import LaurentPoly, _square_commutes
 from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
 from almax.state_graph import StateGraph, is_a_adequate
 from almax.xd import tuple_cell_id
@@ -823,3 +827,102 @@ def invariant_factors(orders) -> tuple[int, ...]:
         for i, e in enumerate(sorted(es, reverse=True)):
             factors[length - 1 - i] *= p**e
     return tuple(factors)
+
+
+# --- earlier forms of the table's inner loops ---------------------------------
+
+
+def scan_census(kept: dict, c: int, j: int) -> dict[int, list]:
+    """The generators of column j by i, by a scan of every kept mask for its n.
+
+    A mask holds states of j only for n = (i + 2k - j) / 4 negative circles
+    of its k, and only if that is an integer in 0..k; its states are filed
+    in walk order.  This is the per-column census that filing the masks by
+    j in one pass replaced.
+    """
+    per_i: dict[int, list] = {}
+    for mask, (circles, _) in kept.items():
+        i = c - 2 * mask.bit_count()
+        k = len(circles)
+        negatives, rest = divmod(i + 2 * k - j, 4)
+        if not rest and 0 <= negatives <= k:
+            bits = [1 << name for name in circles]
+            per_i.setdefault(i, []).extend((mask, sum(combo)) for combo in combinations(bits, negatives))
+    return per_i
+
+
+def unmemoised_check_squares(flips: dict) -> None:
+    """``khovanov._check_squares`` without its memo of squares by their flip entries.
+
+    Every square is reduced to its configuration (the product of its four
+    incidences and which of its 16 circle bits are equal), and each
+    configuration is checked once with ``khovanov._square_commutes``.
+    """
+    verdicts: dict[tuple, bool] = {}
+    for mask, out in flips.items():
+        pairs = list(out.items())
+        for n, (x, fx) in enumerate(pairs):
+            above_x = flips[mask | 1 << x]
+            for y, fy in pairs[n + 1 :]:
+                fxy = above_x[y]
+                fyx = flips[mask | 1 << y][x]
+                sign = fx[0] * fxy[0] * fy[0] * fyx[0]
+                bits = fx[1:] + fxy[1:] + fy[1:] + fyx[1:]
+                key = (sign, *map(bits.index, bits))
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = _square_commutes(
+                        sign, bits[:4], bits[4:8], bits[8:12], bits[12:]
+                    )
+                if not verdict:
+                    degree = len(out) - mask.bit_count()
+                    raise ChainComplexError(f"boundary composition at degree {degree} is non-zero")
+
+
+def schur_cancel_units(rows: dict, col_rows: dict) -> tuple[list[int], list[int]]:
+    """``homology._cancel_units`` with a Schur update after every pivot, singleton rows included.
+
+    Rows are scanned from the last to the first and pivot on the unit whose
+    column holds the fewest rows (ties to the lower column); rows where an
+    update writes a new unit are scanned again.  Works in place, as the
+    package does, and returns (pivot rows, pivot columns).
+    """
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    pending = sorted(rows, reverse=True)
+    while pending:
+        touched: set[int] = set()
+        for r0 in pending:
+            pivot_row = rows.get(r0)
+            if pivot_row is None:
+                continue
+            units = [(len(col_rows[c]), c) for c, v in pivot_row.items() if v in (1, -1)]
+            if not units:
+                continue
+            c0 = min(units)[1]
+            del rows[r0]
+            p = pivot_row.pop(c0)
+            for c in pivot_row:
+                col_rows[c].discard(r0)
+            others = col_rows.pop(c0)
+            others.discard(r0)
+            for r in others:
+                row = rows[r]
+                factor = row.pop(c0) * p
+                for c, beta in pivot_row.items():
+                    new = row.get(c, 0) - factor * beta
+                    if new:
+                        if c not in row:
+                            col_rows[c].add(r)
+                        row[c] = new
+                        if new in (1, -1):
+                            touched.add(r)
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
+                if not row:
+                    del rows[r]
+            pivot_rows.append(r0)
+            pivot_cols.append(c0)
+        pending = sorted((r for r in touched if r in rows), reverse=True)
+    return pivot_rows, pivot_cols

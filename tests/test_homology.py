@@ -23,6 +23,7 @@ from helpers import (
     dense_invariant_factors,
     homology_minor_gcd,
     invariant_factors,
+    schur_cancel_units,
     snf_minor_gcd,
     to_rows,
     torus_two_strand,
@@ -176,6 +177,24 @@ class TestSmithNormalForm:
         rows, col_rows = _index({0: {0: 2}, 1: {0: 1, 1: 1}}, range(2))
         assert _cancel_units(rows, col_rows) == ([1], [1])
         assert rows == {0: {0: 2}}
+
+    def test_singleton_pivot_rows_match_the_schur_loop(self):
+        # a pivot alone in its row only deletes its column from the other rows;
+        # pivots, leftover and column index equal those of a Schur update
+        rng = random.Random(43)
+        singletons = 0
+        for _ in range(80):
+            nrows, ncols = rng.randint(3, 30), rng.randint(3, 30)
+            data = {}
+            for r in range(nrows):
+                width = 1 if rng.random() < 0.4 else rng.randint(2, 5)
+                data[r] = {c: rng.choice((1, -1)) for c in rng.sample(range(ncols), min(width, ncols))}
+                singletons += len(data[r]) == 1
+            rows, col_rows = _index(data, range(ncols))
+            want_rows, want_col_rows = _index(data, range(ncols))
+            assert _cancel_units(rows, col_rows) == schur_cancel_units(want_rows, want_col_rows)
+            assert (rows, col_rows) == (want_rows, want_col_rows)
+        assert singletons > 300
 
     def test_unit_cancellation_leaves_no_unit_entry(self):
         rng = random.Random(41)

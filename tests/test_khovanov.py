@@ -56,10 +56,12 @@ from helpers import (
     random_pd_codes,
     random_reidemeister_two,
     reference_differential,
+    scan_census,
     shift_table,
     sign_map,
     torus_two_strand,
     union_find_resolution,
+    unmemoised_check_squares,
     unsigned_flips,
 )
 
@@ -228,14 +230,22 @@ def table_js(kept: dict, c: int) -> list[int]:
     return sorted({j for _, j in khovanov._ranks(kept, c)})
 
 
+def table_censuses(kept: dict, c: int) -> dict[int, dict[int, list]]:
+    """The generators of every j column by i, filed as ``full_homology_table`` files them."""
+    js = table_js(kept, c)
+    by_j = khovanov._file_by_j(kept, c, js)
+    assert list(by_j) == js and all(by_j.values())
+    return {j: khovanov._census(kept, c, j, by_j[j]) for j in js}
+
+
 def table_columns(diagram: Diagram) -> dict[int, IntegerChainComplex]:
     """The complex of every j column, built as ``full_homology_table`` builds it."""
     kept = khovanov._walk(diagram)
     flips = khovanov._flips(kept)
     c = diagram.crossing_count
     return {
-        j: KhovanovColumn(flips.__getitem__, khovanov._census(kept, c, j)).complex()
-        for j in table_js(kept, c)
+        j: KhovanovColumn(flips.__getitem__, per_i).complex()
+        for j, per_i in table_censuses(kept, c).items()
     }
 
 
@@ -325,6 +335,60 @@ class TestSquareCheck:
         assert table
 
 
+def check_outcome(check, flips) -> str | None:
+    """The message a square check raises on ``flips``, or None if it passes."""
+    try:
+        check(flips)
+    except ChainComplexError as exc:
+        return str(exc)
+    return None
+
+
+# single-entry corruptions of flip data (incidence, b0, b2, t0, t2), and the
+# flips each applies to
+CORRUPTIONS = {
+    "negated incidence": (lambda f: True, lambda f: (-f[0], *f[1:])),
+    "split t0 <-> t2": (lambda f: f[1] == f[2], lambda f: (*f[:3], f[4], f[3])),
+    "merge b0 <-> b2": (lambda f: f[1] != f[2], lambda f: (f[0], f[2], f[1], *f[3:])),
+}
+
+
+class TestSquareMemo:
+    @pytest.mark.parametrize(
+        "diagram", [parse_pd(KNOT_10_44), torus_two_strand(8)], ids=["10_44", "T(2,8)"]
+    )
+    def test_memo_raises_exactly_when_the_unmemoised_check_does(self, diagram):
+        # one flip entry is corrupted early, in the middle or late in the walk;
+        # the memoised check must raise on the same square as the oracle
+        flips = khovanov._flips(khovanov._walk(diagram))
+        assert check_outcome(khovanov._check_squares, flips) is None
+        assert check_outcome(unmemoised_check_squares, flips) is None
+        masks = list(flips)
+        outcomes = Counter()
+        for start in (1, len(masks) // 2, len(masks) - 2):
+            for kind, (applies, corrupt) in CORRUPTIONS.items():
+                mask, x = next(
+                    (mask, x)
+                    for mask in masks[start:] + masks[:start]
+                    for x, flip in flips[mask].items()
+                    if applies(flip)
+                )
+                corrupted = {m: dict(out) for m, out in flips.items()}
+                corrupted[mask][x] = corrupt(flips[mask][x])
+                want = check_outcome(unmemoised_check_squares, corrupted)
+                assert check_outcome(khovanov._check_squares, corrupted) == want, (kind, mask, x)
+                outcomes[kind, want is not None] += 1
+        assert outcomes["negated incidence", True] == 3, outcomes
+
+    @pytest.mark.parametrize(
+        "diagram", [parse_pd(KNOT_10_44), torus_two_strand(11)], ids=["10_44", "T(2,11)"]
+    )
+    def test_equal_flips_are_one_object(self, diagram):
+        flips = khovanov._flips(khovanov._walk(diagram))
+        entries = [flip for out in flips.values() for flip in out.values()]
+        assert len({id(flip) for flip in entries}) == len(set(entries)) < len(entries) // 40
+
+
 class TestLazyBoundaries:
     @pytest.mark.parametrize(
         "diagram",
@@ -339,8 +403,8 @@ class TestLazyBoundaries:
         flips = khovanov._flips(kept)
         c = diagram.crossing_count
         boundaries = 0
-        for j in table_js(kept, c):
-            column = KhovanovColumn(flips.__getitem__, khovanov._census(kept, c, j))
+        for j, per_i in table_censuses(kept, c).items():
+            column = KhovanovColumn(flips.__getitem__, per_i)
             for i, full in column.complex().boundaries.items():
                 if not full.rows:
                     continue
@@ -431,15 +495,42 @@ class TestCensus:
             kept = khovanov._walk(d)
             c = d.crossing_count
             ranks = khovanov._ranks(kept, c)
+            by_j = khovanov._file_by_j(kept, c, all_js(d))
             filed = {}
             for j in all_js(d):
-                for i, gens in khovanov._census(kept, c, j).items():
+                for i, gens in khovanov._census(kept, c, j, by_j[j]).items():
                     assert len(gens) == ranks[(i, j)], (name, i, j)
                     filed[(i, j)] = [named_generator(g) for g in gens]
             census = enhanced_census(d)
             assert {key: Counter(gens) for key, gens in filed.items()} == {
                 key: Counter(gens) for key, gens in census.items()
             }, name
+
+    def test_one_pass_filing_matches_the_per_column_scan(self, corpus):
+        # each column's census lists the states of the per-column scan, in
+        # the same order, on whole walks and on the cut walks of build_column
+        diagrams = dict(corpus)
+        for seed in (1, 2, 3):
+            diagrams[f"T(2,8) scrambled {seed}"] = scrambled(torus_two_strand(8), seed)
+        d = parse_pd(KNOT_10_44)
+        for kinks, arc in enumerate((3, 12), 1):
+            d = add_positive_kink(d, arc)
+            diagrams[f"10_44 + {kinks} kinks"] = d
+        columns = 0
+        for name, d in diagrams.items():
+            c = d.crossing_count
+            kept = khovanov._walk(d)
+            js = all_js(d)
+            by_j = khovanov._file_by_j(kept, c, js)
+            for j in js:
+                want = scan_census(kept, c, j)
+                got = khovanov._census(kept, c, j, by_j[j])
+                assert list(got.items()) == list(want.items()), (name, j)
+                columns += bool(want)
+                cut = build_column(d, j).generators
+                want = scan_census(khovanov._walk(d, j), c, j)
+                assert list(cut.items()) == list(want.items()), (name, j, "cut walk")
+        assert columns == 135
 
     @pytest.mark.parametrize(
         "diagram",
@@ -452,10 +543,10 @@ class TestCensus:
         previous: list = []
         js = []
 
-        def tracked(kept, c, j):
+        def tracked(kept, c, j, masks):
             nonlocal previous
             assert all(ref() is None for ref in previous), (js[-1], "alive at", j)
-            per_i = {i: TrackedList(gens) for i, gens in real(kept, c, j).items()}
+            per_i = {i: TrackedList(gens) for i, gens in real(kept, c, j, masks).items()}
             previous = [weakref.ref(gens) for gens in per_i.values()]
             js.append(j)
             return per_i

@@ -514,6 +514,25 @@ class TestCliTable:
         assert "table mode is capped at 14" in err
         assert "Errno" not in err
 
+    def test_size_bound_names_the_true_state_counts(self, capsys):
+        assert main(["table", KNOT_8_20, "--max-c", "7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: diagram has 8 crossings, table mode is capped at 7 (it resolves all 2^c "
+            "Kauffman states and reduces every enhanced state on them, 3^c + 3 for T(2,c)); "
+            "raise the bound explicitly to proceed\n"
+        )
+
+    def test_malformed_pd_file_is_one_short_error_line(self, tmp_path, capsys):
+        # not JSON (it does not start with "{"), so it is read as one PD token
+        path = tmp_path / "brackets.pd"
+        path.write_text("[" * 200_000)
+        assert main(["table", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == "error: malformed PD token '" + "[" * 38 + "'... (200000 characters)"
+        assert len(line) < 200
+
     def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text('{"crossings": ' + "[" * 200_000)
@@ -663,6 +682,32 @@ class TestConsoleEntryPoint:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]], ids=["almax", "table"])
+    def test_help_to_a_closed_stdout_exits_1_and_prints_nothing(self, buffered, argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "almax.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_help_to_an_open_stdout_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: almax") and captured.err == ""
 
     def test_broken_pipe_in_process_leaves_a_stringio_stdout_alone(self, monkeypatch):
         def closed(args):
