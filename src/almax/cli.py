@@ -148,7 +148,8 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "--unreduced",
                 action="store_true",
-                help="plain cellular homology without the basepoint/augmentation handling",
+                help="unreduced homology of the realization; a set with an undefined face "
+                "keeps the Z of its basepoint in degree 0",
             )
     return parser
 

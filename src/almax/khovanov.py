@@ -166,11 +166,18 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     ``|all-A circles| + |mask| - #circles`` carries no j above
     ``j_max - 2 * deficit``.  One flip adds at most one circle, so the
     deficit never drops from a mask to a superset, and a mask whose deficit
-    already rules out j is dropped together with everything above it.  The
-    cut walk thus costs the column times c, not 2^c; without ``j`` it keeps
-    all 2^c masks.  What it returns holds one resolution per mask and no
-    enhanced state: ``_ranks`` counts the states from it, ``_file_by_j``
-    files its masks by j, and ``_census`` builds the states of one j.
+    already rules out j is dropped together with everything above it.
+    A child's deficit is known from its parent before it is traced: a flip
+    at x that merges (slots 0 and 2 of x on two circles) adds 2, a split
+    adds 0.  So once a merge would cross the cut, only the split children
+    are pushed, and on a planar diagram every mask pushed is kept (the
+    check on pop is then never true; it stays for a flip that keeps one
+    circle, which adds 1, on non-planar data).  The cut walk thus traces
+    each kept mask once and judges its children from the same trace, so
+    it costs O(c) per kept mask, not 2^c; without ``j`` it keeps all 2^c
+    masks.  What it returns holds one resolution per mask and no enhanced
+    state: ``_ranks`` counts the states from it, ``_file_by_j`` files its
+    masks by j, and ``_census`` builds the states of one j.
     """
     steps = step_table(diagram)
     c = diagram.crossing_count
@@ -183,8 +190,17 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
         mask = stack.pop()
         top = mask.bit_length() - 1
         res = _flip(steps, kept[mask ^ (1 << top)], mask, top) if mask else root
-        if slack is not None and 2 * (circles_a + mask.bit_count() - len(res[0])) > slack:
-            continue
+        if slack is not None:
+            deficit = circles_a + mask.bit_count() - len(res[0])
+            if 2 * deficit > slack:
+                continue
+            if 2 * deficit + 4 > slack:  # a merge child would be cut: push the splits only
+                kept[mask] = res
+                end = res[1]
+                for x in range(top + 1, c):
+                    if end[4 * x] == end[4 * x + 2]:
+                        stack.append(mask | (1 << x))
+                continue
         kept[mask] = res
         stack.extend(mask | (1 << x) for x in range(top + 1, c))
     return kept

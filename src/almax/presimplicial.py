@@ -96,34 +96,63 @@ def validate_pps(pps: PartialPresimplicialSet) -> AxiomViolation | None:
 
     Returns the first violation found (cells in listed order, then (i, j)
     lexicographically), or None when the face maps are consistent.
+
+    A pair of undefined faces holds by definition (both sides are 0), so a
+    cell with an undefined face checks an undefined d_i only against its
+    defined d_j, j > i, in increasing j: the pairs it skips hold, so the
+    first violation is the one the all-pairs loop finds.  A top cell of
+    ``build_xd``'s sets, one per vertex of the state graph, has a defined
+    face only for each edge at its vertex, so it costs at most 2c pairs per
+    such edge, not c^2 / 2.  A cell whose faces are all defined runs the
+    all-pairs loop, with no test for undefined faces inside it.
     """
     for k in range(2, pps.top_dim + 1):
         below = pps.faces[k - 1]
         for cell, fmap in enumerate(pps.faces[k]):
+            if None not in fmap:
+                for i in range(k):
+                    right = below[fmap[i]]
+                    for j in range(i + 1, k + 1):
+                        if below[fmap[j]][i] != right[j - 1]:
+                            return _violation(pps, k, cell, i, j, below[fmap[j]][i], right[j - 1])
+                continue
+            defined = [j for j, t in enumerate(fmap) if t is not None]
             for i in range(k):
                 di = fmap[i]
+                if di is None:
+                    for j in defined:
+                        if j > i and below[fmap[j]][i] is not None:
+                            return _violation(pps, k, cell, i, j, below[fmap[j]][i], None)
+                    continue
                 for j in range(i + 1, k + 1):
                     dj = fmap[j]
                     left = below[dj][i] if dj is not None else None
-                    right = below[di][j - 1] if di is not None else None
-                    if left != right:
-                        name = lambda t: pps.cells[k - 2][t] if t is not None else None
-                        return AxiomViolation(k, pps.cells[k][cell], i, j, name(left), name(right))
+                    if left != below[di][j - 1]:
+                        return _violation(pps, k, cell, i, j, left, below[di][j - 1])
     return None
+
+
+def _violation(pps, k, cell, i, j, left, right) -> AxiomViolation:
+    """The witness that d_i d_j != d_(j-1) d_i on cell ``cell`` of dimension k, by name."""
+    name = lambda t: pps.cells[k - 2][t] if t is not None else None
+    return AxiomViolation(k, pps.cells[k][cell], i, j, name(left), name(right))
 
 
 def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> IntegerChainComplex:
     """Cellular chain complex of the realization, boundary = sum (-1)^i d_i.
 
-    Undefined faces contribute 0.  With ``reduced`` set the complex
-    computes the reduced homology of the pointed realization: when some
-    face is undefined the collapsed basepoint absorbs the augmentation and
-    the plain zero-extension complex already computes reduced homology
-    (degree -1 carries nothing); when every face is defined no basepoint
-    is added and the usual augmentation (an extra generator in degree -1
-    hit once by every 0-cell) reduces degree 0.  The empty set comes out
-    with a single Z in degree -1.  Face maps that break the axiom raise
-    ``AxiomViolationError``.
+    Undefined faces contribute 0.  When some face is undefined (a proper
+    set), the realization has a basepoint that every undefined face is
+    collapsed to, and the plain zero-extension complex computes H(X, *).
+    With ``reduced`` set that is the answer (degree -1 carries nothing);
+    without it the basepoint is added as a 0-cell that no face names, so
+    degree 0 gains the Z that H(X) = H(X, *) + H(*) asks for.  When every
+    face is defined there is no basepoint: ``reduced`` adds the usual
+    augmentation (an extra generator in degree -1 hit once by every
+    0-cell), which reduces degree 0, and without it the plain complex is
+    the answer.  The empty set comes out with a single Z in degree -1
+    when reduced, and with nothing when not.  Face maps that break the
+    axiom raise ``AxiomViolationError``.
 
     The axiom check is what certifies d∘d = 0, so ``homology`` needs no
     other.  With each undefined face read as 0,
@@ -138,7 +167,10 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
     if violation is not None:
         raise AxiomViolationError(violation)
 
+    proper = pps.is_proper()
     ranks = {k: len(pps.cells[k]) for k in range(pps.top_dim + 1)}
+    if proper and not reduced:
+        ranks[0] += 1  # the basepoint, last in degree 0
     boundaries: dict[int, IntMatrix] = {}
     for k in range(1, pps.top_dim + 1):
         # the face targets are range-checked by PartialPresimplicialSet, so the
@@ -160,7 +192,7 @@ def chain_complex(pps: PartialPresimplicialSet, reduced: bool = True) -> Integer
                         del rows[target]
         boundaries[k] = IntMatrix(ranks[k - 1], ranks[k], rows)
 
-    if reduced and not pps.is_proper():
+    if reduced and not proper:
         ranks[-1] = 1
         points = ranks.get(0, 0)
         ones = {0: dict.fromkeys(range(points), 1)} if points else {}

@@ -33,6 +33,10 @@ KNOT_10_44 = (
     "X(16,1,15,14);X(17,18,2,16);X(18,19,5,3);X(19,20,8,6);X(20,17,11,9)"
 )
 
+# the arcs that take 10_44 to c = 40, one positive kink on each in turn: every
+# arc of 10_44, then the first half of each of the first ten arcs so split
+KINK_ARCS_C40 = (*range(1, 21), *range(21, 51, 3))
+
 TORUS_2_3 = "X(1,2,3,4);X(2,5,6,3);X(5,1,4,6)"
 TORUS_2_4 = "X(1,2,3,4);X(2,5,6,3);X(5,7,8,6);X(7,1,4,8)"
 TORUS_2_5 = "X(1,2,3,4);X(2,5,6,3);X(5,7,8,6);X(7,9,10,8);X(9,1,4,10)"

@@ -15,11 +15,13 @@ sparse matrices entry by entry: the d∘d oracle for complexes that the
 package certifies without a product, and ``unsigned_flips`` breaks d∘d
 by forcing every incidence of a mask's flip data to +1.  ``push_arc_over`` is
 a Reidemeister II move across a face traced as in ``face_count``, for
-invariance checks of the full table.  The last section keeps earlier forms
-of three inner loops of the table as oracles for the faster ones: the
-census that scans every mask per column, the square check with no memo of
+invariance checks of the full table.  The last sections keep earlier forms
+of inner loops as oracles for the faster ones: of the table, the census
+that scans every mask per column, the square check with no memo of
 squares, and the unit cancellation that runs a Schur update after every
-pivot.
+pivot; of ``analyze``, the cut walk that traces every child of a kept
+mask from scratch before it judges it, and the face-axiom check over
+every pair of faces.
 """
 
 from __future__ import annotations
@@ -28,10 +30,23 @@ import math
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from almax.diagram import Diagram, DiagramError, Resolution, State, resolve
+from almax.diagram import (
+    Diagram,
+    DiagramError,
+    Resolution,
+    State,
+    resolve,
+    step_table,
+    trace_state,
+)
 from almax.homology import AbelianGroup, ChainComplexError, IntMatrix
 from almax.khovanov import LaurentPoly, _square_commutes
-from almax.presimplicial import EMPTY_PPS, PartialPresimplicialSet, pps_from_json_dict
+from almax.presimplicial import (
+    EMPTY_PPS,
+    AxiomViolation,
+    PartialPresimplicialSet,
+    pps_from_json_dict,
+)
 from almax.state_graph import StateGraph, is_a_adequate
 from almax.xd import tuple_cell_id
 
@@ -926,3 +941,54 @@ def schur_cancel_units(rows: dict, col_rows: dict) -> tuple[list[int], list[int]
             pivot_cols.append(c0)
         pending = sorted((r for r in touched if r in rows), reverse=True)
     return pivot_rows, pivot_cols
+
+
+# --- earlier forms of analyze's inner loops -----------------------------------
+
+
+def traced_cut_walk(diagram: Diagram, j: int) -> dict:
+    """``khovanov._walk(diagram, j)`` with every child traced from scratch before it is judged.
+
+    The same depth-first order from all-A, each mask extended by the bits
+    above its highest one, and a mask kept iff 2 * deficit <= j_max - j,
+    with deficit = |all-A circles| + |mask| - #circles.  Each mask popped
+    is traced whole with ``trace_state``, so no incremental resolution and
+    no judgement of a child from its parent is involved; the deficit never
+    drops from a mask to a superset, so this is the full walk restricted to
+    the masks within the cut.
+    """
+    steps = step_table(diagram)
+    c = diagram.crossing_count
+    circles_a = len(trace_state(steps, 0)[0])
+    slack = c + 2 * circles_a - j
+    kept: dict = {}
+    stack = [0]
+    while stack:
+        mask = stack.pop()
+        res = trace_state(steps, mask)
+        if 2 * (circles_a + mask.bit_count() - len(res[0])) > slack:
+            continue
+        kept[mask] = res
+        stack.extend(mask | (1 << x) for x in range(mask.bit_length(), c))
+    return kept
+
+
+def all_pairs_validate(pps: PartialPresimplicialSet) -> AxiomViolation | None:
+    """``presimplicial.validate_pps`` comparing every pair i < j of every cell's faces.
+
+    The first violation in cell order, then (i, j) in lexicographic order,
+    or None.
+    """
+    for k in range(2, pps.top_dim + 1):
+        below = pps.faces[k - 1]
+        for cell, fmap in enumerate(pps.faces[k]):
+            for i in range(k):
+                di = fmap[i]
+                for j in range(i + 1, k + 1):
+                    dj = fmap[j]
+                    left = below[dj][i] if dj is not None else None
+                    right = below[di][j - 1] if di is not None else None
+                    if left != right:
+                        name = lambda t: pps.cells[k - 2][t] if t is not None else None
+                        return AxiomViolation(k, pps.cells[k][cell], i, j, name(left), name(right))
+    return None

@@ -60,6 +60,7 @@ from helpers import (
     shift_table,
     sign_map,
     torus_two_strand,
+    traced_cut_walk,
     union_find_resolution,
     unmemoised_check_squares,
     unsigned_flips,
@@ -603,7 +604,68 @@ class TestPrunedColumnWalk:
         assert sum(len(g) for g in column.generators.values()) == column_size == 23
         assert calls["step_table"] == 1  # one table, and mask 0 traced over it
         assert 0 not in flipped and len(flipped) == len(set(flipped))  # each mask derived once
-        assert len(flipped) < 600 < 2**c
+        # only the masks the walk keeps are traced: no child is traced to be dropped
+        traced = len(flipped)
+        assert traced == len(khovanov._walk(d, j_almax)) - 1 == 13
+
+    def test_cut_walk_is_the_full_walk_within_the_cut(self, corpus, monkeypatch):
+        # keys, order and resolutions as the walk that traces every child from
+        # scratch and judges it after; below c = 14 also as the whole cube's
+        # walk restricted to the cut.  Each kept mask but 0 is derived once,
+        # and no other mask is traced.
+        diagrams = dict(corpus)
+        for seed in (1, 2, 3):
+            diagrams[f"T(2,8) scrambled {seed}"] = scrambled(torus_two_strand(8), seed)
+        seeded_kinks = (("10_44", KNOT_10_44, (1, 3, 10, 30)), ("8_20", KNOT_8_20, (4, 10, 20)))
+        for name, pd, counts in seeded_kinks:
+            for kinks in counts:
+                rng = random.Random(kinks)
+                d = parse_pd(pd)
+                for _ in range(kinks):
+                    d = add_positive_kink(d, rng.choice(d.arc_ids()))
+                diagrams[f"{name} + {kinks} kinks"] = d
+        assert max(d.crossing_count for d in diagrams.values()) == 40
+        flipped = []
+        real_flip = khovanov._flip
+
+        def counting_flip(steps, parent, mask, x):
+            flipped.append(mask)
+            return real_flip(steps, parent, mask, x)
+
+        monkeypatch.setattr(khovanov, "_flip", counting_flip)
+        for name, d in diagrams.items():
+            c = d.crossing_count
+            j_max, j_almax = j_extremes(d)
+            full = None
+            if c < 14:
+                flipped.clear()
+                full = khovanov._walk(d)
+                assert len(flipped) == 2**c - 1, name
+            for j in (j_almax, j_almax - 2, j_almax - 4):  # the column at j_almax - 2 is empty, its walk not
+                flipped.clear()
+                kept = khovanov._walk(d, j)
+                assert len(flipped) == len(kept) - 1, (name, j)
+                assert list(kept.items()) == list(traced_cut_walk(d, j).items()), (name, j)
+                if full is not None:
+                    circles_a = len(full[0][0])
+                    within = {
+                        mask: res
+                        for mask, res in full.items()
+                        if 2 * (circles_a + mask.bit_count() - len(res[0])) <= j_max - j
+                    }
+                    assert list(kept.items()) == list(within.items()), (name, j)
+
+    def test_cut_walk_of_non_planar_codes(self):
+        # a flip that keeps one circle adds 1 to the deficit, so a child pushed
+        # as a split may still be cut on pop; the walk agrees with the oracle
+        codes = [
+            d for d in random_pd_codes(120, seed=11) if face_count(d) != d.crossing_count + 2
+        ]
+        assert len(codes) >= 80
+        for d in codes:
+            j_max, _ = j_extremes(d)
+            for j in range(j_max, j_max - 4 * d.crossing_count - 1, -2):
+                assert list(khovanov._walk(d, j).items()) == list(traced_cut_walk(d, j).items())
 
 
 class TestResolutionStore:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from almax.diagram import State, add_positive_kink, mirror, parse_pd
 from almax.homology import AbelianGroup, homology, nonzero_groups
 from almax.presimplicial import (
     EMPTY_PPS,
@@ -16,7 +17,11 @@ from almax.presimplicial import (
     pps_to_json_dict,
     validate_pps,
 )
-from helpers import MALFORMED_PPS
+from almax.state_graph import build_state_graph, is_a_adequate
+from almax.xd import build_xd
+from helpers import MALFORMED_PPS, all_pairs_validate, torus_two_strand
+
+from conftest import CORPUS, KINK_ARCS_C40, KNOT_10_44
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,6 +129,62 @@ class TestValidate:
             chain_complex(broken)
 
 
+def column_cells():
+    """``build_xd`` of the all-A graphs of the corpus (mirrored where only B-adequate),
+    of 10_44 with 3 and 30 kinks, and of T(2,8)."""
+    diagrams = {name: parse_pd(pd) for name, pd in CORPUS.items()}
+    for arcs in ((3, 12, 17), KINK_ARCS_C40):
+        d = parse_pd(KNOT_10_44)
+        for arc in arcs:
+            d = add_positive_kink(d, arc)
+        diagrams[f"10_44 + {len(arcs)} kinks"] = d
+    diagrams["T(2,8)"] = torus_two_strand(8)
+    for name, d in diagrams.items():
+        if not is_a_adequate(d):
+            d = mirror(d)
+        yield name, build_xd(build_state_graph(d, State.all_a(d.crossing_count)))
+
+
+def with_face(pps, k, cell, i, target):
+    """A copy of ``pps`` with face d_i of cell ``cell`` in dimension k set to ``target``."""
+    fmaps = list(pps.faces[k])
+    fmap = list(fmaps[cell])
+    fmap[i] = target
+    fmaps[cell] = tuple(fmap)
+    return PartialPresimplicialSet(pps.top_dim, pps.cells, {**pps.faces, k: tuple(fmaps)})
+
+
+class TestAgainstAllPairs:
+    def test_column_cells_are_valid(self):
+        for name, pps in column_cells():
+            assert validate_pps(pps) is None and all_pairs_validate(pps) is None, name
+
+    def test_same_first_violation_on_corrupted_cells(self):
+        # one face made undefined, or pointed at another cell one dimension
+        # down; the check skips pairs of undefined faces, and must still
+        # report the first violation of the all-pairs loop
+        rng = random.Random(26)
+        seen = {"valid": 0, "dense": 0, "sparse": 0}
+        for name, pps in column_cells():
+            dims = [k for k in range(1, pps.top_dim + 1) if pps.faces[k]]
+            for trial in range(40 if dims else 0):
+                k = rng.choice(dims)
+                cell = rng.randrange(len(pps.faces[k]))
+                i = rng.randrange(k + 1)
+                below = len(pps.cells[k - 1])
+                target = rng.randrange(below) if trial % 2 and below else None
+                broken = with_face(pps, k, cell, i, target)
+                want = all_pairs_validate(broken)
+                assert validate_pps(broken) == want, (name, k, cell, i, target)
+                if want is None:
+                    seen["valid"] += 1
+                else:
+                    position = broken.cells[want.dimension].index(want.cell)
+                    defined = None not in broken.faces[want.dimension][position]
+                    seen["dense" if defined else "sparse"] += 1
+        assert min(seen.values()) >= 20, seen
+
+
 class TestChainComplex:
     def test_projective_plane_homology(self):
         groups = reduced_homology(PROJECTIVE_PLANE)
@@ -140,6 +201,18 @@ class TestChainComplex:
     def test_unreduced_full_simplex_sees_the_point(self):
         groups = nonzero_groups(homology(chain_complex(full_two_simplex(), reduced=False)))
         assert groups == {0: AbelianGroup(1)}
+
+    def test_unreduced_proper_set_keeps_its_basepoint(self):
+        # RP^2 with its collapsed faces at the basepoint: H(X) = H(X, *) + Z in degree 0
+        groups = nonzero_groups(homology(chain_complex(PROJECTIVE_PLANE, reduced=False)))
+        assert groups == {0: AbelianGroup(1), 1: AbelianGroup(0, (2,))}
+        for path in sorted(DATA.glob("*_cells.json")):
+            pps = pps_from_json(path.read_text())
+            assert pps.is_proper()
+            unreduced = nonzero_groups(homology(chain_complex(pps, reduced=False)))
+            assert unreduced.pop(0) == AbelianGroup(1) and 0 not in reduced_homology(pps), path
+            assert unreduced == reduced_homology(pps), path
+        assert nonzero_groups(homology(chain_complex(EMPTY_PPS, reduced=False))) == {}
 
     def test_two_glued_one_simplices_make_a_circle(self):
         circle = pps_from_json_dict(

@@ -14,6 +14,7 @@ from almax import cli as cli_module
 from almax import khovanov, presimplicial, report as report_module, state_graph
 from almax.cli import main
 from almax.diagram import (
+    Diagram,
     InadequateDiagramError,
     NonPlanarDiagramError,
     add_positive_kink,
@@ -28,6 +29,7 @@ from conftest import (
     B_ADEQUATE_ONLY,
     CORPUS,
     FIGURE_EIGHT,
+    KINK_ARCS_C40,
     KNOT_8_20,
     KNOT_10_44,
     LEFT_TREFOIL,
@@ -38,12 +40,17 @@ from helpers import MALFORMED_PPS, face_count, random_pd_codes, torus_two_strand
 DATA = Path(__file__).parent / "data"
 
 
+def kinked(pd: str, arcs) -> Diagram:
+    """The diagram of ``pd`` with a positive kink added on each arc of ``arcs`` in turn."""
+    d = parse_pd(pd)
+    for arc in arcs:
+        d = add_positive_kink(d, arc)
+    return d
+
+
 def long_inline_code() -> str:
     """10_44 with 12 kinks (c = 22): a PD code too long to be a file name."""
-    d = parse_pd(KNOT_10_44)
-    for arc in range(3, 15):
-        d = add_positive_kink(d, arc)
-    code = to_pd_text(d)
+    code = to_pd_text(kinked(KNOT_10_44, range(3, 15)))
     assert len(code) > 255
     return code
 
@@ -56,6 +63,8 @@ PINNED_ANALYZE = {
     "left_trefoil": [LEFT_TREFOIL],
     "10_44_kink": [to_pd_text(add_positive_kink(parse_pd(KNOT_10_44), 3))],
     "b_only_mirrored": [B_ADEQUATE_ONLY, "--auto-mirror"],
+    # c = 40: the cut walk and the axiom check at scale, about 10 ms a run
+    "10_44_30_kinks": [to_pd_text(kinked(KNOT_10_44, KINK_ARCS_C40))],
 }
 
 
@@ -575,7 +584,13 @@ class TestCliPps:
         assert doc == {"reduced": True, "homology": {"1": "Z/2"}}
 
     def test_unreduced_flag(self, projective_file, capsys):
-        assert main(["pps", "homology", str(projective_file), "--unreduced"]) == 0
+        # the realization has a basepoint, whose Z the unreduced homology keeps
+        argv = ["pps", "homology", str(projective_file), "--unreduced"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "H_1 = Z/2\nH_0 = Z\n"
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"reduced": False, "homology": {"0": "Z", "1": "Z/2"}}
 
     def test_axiom_violation_reported(self, tmp_path, capsys):
         doc = {
