@@ -9,7 +9,6 @@ failed Euler identity, or boundaries that do not compose to zero).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -204,7 +203,7 @@ def _cmd_pps(args) -> int:
         if args.format == "json":
             doc = {"valid": violation is None}
             if violation is not None:
-                doc["violation"] = dataclasses.asdict(violation)
+                doc["violation"] = {name: getattr(violation, name) for name in violation._fields}
             print(json.dumps(doc, indent=2))
         elif violation is None:
             print("valid: face-map axiom holds")

@@ -19,7 +19,8 @@ the whole package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from ._record import Record
 
 _TOKEN_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\Z", re.ASCII)
 
@@ -48,8 +49,7 @@ class NonPlanarDiagramError(DiagramError):
     """The PD code does not describe a planar diagram (see ``check_planar``)."""
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """A connected unoriented link diagram.
 
     ``crossings`` is an ordered tuple of arc-id quadruples; the order is
@@ -58,26 +58,25 @@ class Diagram:
     is 1 exactly for the zero-crossing unknot.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    free_loops: int = 0
-    # the other end of each arc, indexed by the arc end 4 * crossing + slot
-    _partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # _partner: the other end of each arc, indexed by the arc end 4 * crossing + slot
+    __slots__ = ("crossings", "free_loops", "_partner")
 
-    def __post_init__(self):
-        crossings = tuple(tuple(q) for q in self.crossings)
-        object.__setattr__(self, "crossings", crossings)
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], free_loops: int = 0):
+        crossings = tuple(tuple(q) for q in crossings)
         for q in crossings:
             for e in q:
                 _check_int(e, "an arc id")
             if len(q) != 4 or any(e < 0 for e in q):
                 raise DiagramError(f"crossing must be four non-negative arc ids, got {q!r}")
-        _check_int(self.free_loops, "free_loops")
+        _check_int(free_loops, "free_loops")
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "_partner", _pair_arc_ends(crossings))
         if crossings:
-            if self.free_loops != 0:
+            if free_loops != 0:
                 raise DiagramError("free_loops must be 0 when the diagram has crossings")
             _check_connected(self._partner)
-        elif self.free_loops != 1:
+        elif free_loops != 1:
             raise DiagramError("a crossingless diagram must be a single free loop (the unknot)")
 
     @property
@@ -134,23 +133,22 @@ def _check_connected(partner) -> None:
         )
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """A Kauffman state: one label 'A' or 'B' per crossing index."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if any(l not in ("A", "B") for l in self.labels):
-            raise ValueError(f"state labels must be 'A' or 'B', got {self.labels!r}")
+    def __init__(self, labels: tuple[str, ...]):
+        if any(l not in ("A", "B") for l in labels):
+            raise ValueError(f"state labels must be 'A' or 'B', got {labels!r}")
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def all_a(cls, crossing_count: int) -> "State":
         return cls(("A",) * crossing_count)
 
 
-@dataclass
-class Resolution:
+class Resolution(Record, frozen=False):
     """System of circles obtained by smoothing every crossing, as ``trace_state`` gives it.
 
     Circles partition the arc ends 4x + slot; each circle is named by its
@@ -160,8 +158,12 @@ class Resolution:
     crossingless unknot has no arc ends and one circle, named 0.
     """
 
-    circles: tuple[int, ...]
-    end_circle: list[int] = field(repr=False)
+    __slots__ = ("circles", "end_circle")
+    _unshown = ("end_circle",)
+
+    def __init__(self, circles: tuple[int, ...], end_circle: list[int]):
+        self.circles = circles
+        self.end_circle = end_circle
 
 
 # slot -> the slot a smoothing joins it to: A joins {0,1} and {2,3}, B joins {0,3} and {1,2}

@@ -41,27 +41,28 @@ check raises ``ChainComplexError``, and so does a negative free rank in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group in canonical form.
 
     ``torsion`` lists the invariant factors t1 | t2 | ... , each > 1.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        if any(t <= 1 for t in self.torsion):
+        if any(t <= 1 for t in torsion):
             raise ValueError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion {self.torsion} violates the divisibility chain")
+                raise ValueError(f"torsion {torsion} violates the divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def is_trivial(self) -> bool:
@@ -278,25 +279,25 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     return (1,) * len(pivots) + tuple(_finish(rows))
 
 
-@dataclass
-class IntegerChainComplex:
+class IntegerChainComplex(Record, frozen=False):
     """Graded free abelian groups with boundary maps dropping ``step`` degrees.
 
     ``boundaries[k]`` maps degree k to degree k - step and must have shape
     ranks[k - step] x ranks[k]; missing entries mean zero maps.
     """
 
-    ranks: dict[int, int]
-    boundaries: dict[int, IntMatrix]
-    step: int = 1
+    __slots__ = ("ranks", "boundaries", "step")
 
-    def __post_init__(self):
-        for k, mat in self.boundaries.items():
-            want = (self.ranks.get(k - self.step, 0), self.ranks.get(k, 0))
+    def __init__(self, ranks: dict[int, int], boundaries: dict[int, IntMatrix], step: int = 1):
+        for k, mat in boundaries.items():
+            want = (ranks.get(k - step, 0), ranks.get(k, 0))
             if (mat.rows, mat.cols) != want:
                 raise ValueError(
                     f"boundary at degree {k} has shape {mat.rows}x{mat.cols}, expected {want}"
                 )
+        self.ranks = ranks
+        self.boundaries = boundaries
+        self.step = step
 
     def restrict(self, k: int, cols) -> tuple[dict, dict[int, set[int]]]:
         """The rows of d_k restricted to ``cols``, and the rows of each column (``_index``)."""

@@ -12,8 +12,8 @@ nothing here knows about diagrams.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .homology import AbelianGroup
 from .state_graph import (
     StateGraph,
@@ -25,8 +25,7 @@ from .state_graph import (
 )
 
 
-@dataclass(frozen=True)
-class HomotopyType:
+class HomotopyType(Record):
     """Symbolic wedge of spheres plus at most one suspended projective plane.
 
     ``spheres`` is a sorted multiset of dimensions (>= -1);
@@ -34,15 +33,16 @@ class HomotopyType:
     The empty expression is a point.
     """
 
-    spheres: tuple[int, ...] = ()
-    rp2_suspensions: int | None = None
+    __slots__ = ("spheres", "rp2_suspensions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spheres", tuple(sorted(self.spheres)))
-        if any(d < -1 for d in self.spheres):
+    def __init__(self, spheres: tuple[int, ...] = (), rp2_suspensions: int | None = None):
+        spheres = tuple(sorted(spheres))
+        if any(d < -1 for d in spheres):
             raise ValueError("sphere dimensions must be >= -1")
-        if self.rp2_suspensions is not None and self.rp2_suspensions < 0:
+        if rp2_suspensions is not None and rp2_suspensions < 0:
             raise ValueError("suspension count must be >= 0")
+        object.__setattr__(self, "spheres", spheres)
+        object.__setattr__(self, "rp2_suspensions", rp2_suspensions)
 
     def reduced_homology(self) -> dict[int, AbelianGroup]:
         """Non-trivial reduced homology groups per degree."""

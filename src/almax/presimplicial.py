@@ -14,8 +14,8 @@ names cells only to report a violation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .homology import IntegerChainComplex, IntMatrix
 
 
@@ -23,16 +23,21 @@ class PPSError(ValueError):
     """Structurally invalid partial presimplicial set data."""
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    """Witness of a failed face-map identity d_i d_j = d_{j-1} d_i."""
+class AxiomViolation(Record):
+    """Witness of a failed face-map identity d_i d_j = d_{j-1} d_i.
 
-    dimension: int
-    cell: str
-    i: int
-    j: int
-    left: str | None   # d_i(d_j(cell)), None meaning 0
-    right: str | None  # d_{j-1}(d_i(cell))
+    ``left`` is d_i(d_j(cell)) and ``right`` is d_{j-1}(d_i(cell)), None meaning 0.
+    """
+
+    __slots__ = ("dimension", "cell", "i", "j", "left", "right")
+
+    def __init__(self, dimension: int, cell: str, i: int, j: int, left: str | None, right: str | None):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def describe(self) -> str:
         fmt = lambda x: x if x is not None else "0"
@@ -51,8 +56,7 @@ class AxiomViolationError(PPSError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class PartialPresimplicialSet:
+class PartialPresimplicialSet(Record):
     """Cells per dimension 0..top_dim with partial face maps.
 
     ``cells[k]`` is the ordered tuple of cell ids in dimension k, for every
@@ -60,28 +64,32 @@ class PartialPresimplicialSet:
     1..top_dim, is aligned with ``cells[k]``: each entry is a (k+1)-tuple
     whose i-th item is the position of d_i(cell) in ``cells[k-1]``, or None
     when that face is undefined.  ``top_dim`` is -1 for the empty set.
+    Omitted ``cells`` or ``faces`` start as a new empty dict.
     """
 
-    top_dim: int
-    cells: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    faces: dict[int, tuple[tuple[int | None, ...], ...]] = field(default_factory=dict)
+    __slots__ = ("top_dim", "cells", "faces")
 
-    def __post_init__(self):
-        if self.top_dim < -1:
-            raise PPSError(f"top_dim must be >= -1, got {self.top_dim}")
-        if sorted(self.cells) != list(range(self.top_dim + 1)):
-            raise PPSError(f"cell dimensions {sorted(self.cells)} are not 0..{self.top_dim}")
-        if sorted(self.faces) != list(range(1, self.top_dim + 1)):
-            raise PPSError(f"face dimensions {sorted(self.faces)} are not 1..{self.top_dim}")
-        for k, names in self.cells.items():
+    def __init__(self, top_dim: int, cells: dict | None = None, faces: dict | None = None):
+        cells = {} if cells is None else cells
+        faces = {} if faces is None else faces
+        if top_dim < -1:
+            raise PPSError(f"top_dim must be >= -1, got {top_dim}")
+        if sorted(cells) != list(range(top_dim + 1)):
+            raise PPSError(f"cell dimensions {sorted(cells)} are not 0..{top_dim}")
+        if sorted(faces) != list(range(1, top_dim + 1)):
+            raise PPSError(f"face dimensions {sorted(faces)} are not 1..{top_dim}")
+        for k, names in cells.items():
             if len(set(names)) != len(names):
                 raise PPSError(f"duplicate cell ids in dimension {k}")
-        for k, fmaps in self.faces.items():
-            if len(fmaps) != len(self.cells[k]) or any(len(fmap) != k + 1 for fmap in fmaps):
+        for k, fmaps in faces.items():
+            if len(fmaps) != len(cells[k]) or any(len(fmap) != k + 1 for fmap in fmaps):
                 raise PPSError(f"faces[{k}] must hold one {k + 1}-tuple per cell of dimension {k}")
-            below = len(self.cells[k - 1])
+            below = len(cells[k - 1])
             if any(t is not None and not 0 <= t < below for fmap in fmaps for t in fmap):
                 raise PPSError(f"a face of dimension {k} points outside the {below} cells below")
+        object.__setattr__(self, "top_dim", top_dim)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "faces", faces)
 
     def is_proper(self) -> bool:
         """True iff some face in the valid index range is undefined."""

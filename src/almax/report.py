@@ -14,8 +14,7 @@ all-A state graph G.  The direct route files its states by i on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .diagram import Diagram, InadequateDiagramError, State, check_planar, mirror
 from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
@@ -35,18 +34,35 @@ from .xd import build_xd
 ROUTES = ("formula", "cellular", "direct")
 
 
-@dataclass
-class AnalysisReport:
-    input_diagram: Diagram
-    diagram: Diagram            # analyzed diagram; the mirror when mirrored is set
-    mirrored: bool
-    a_adequate: bool            # adequacy of the *input* diagram
-    b_adequate: bool
-    circles_all_b: int
-    graph: StateGraph           # all-A state graph of ``diagram``
-    homotopy: HomotopyType
-    tables: dict[str, dict[tuple[int, int], AbelianGroup]]
-    xd: PartialPresimplicialSet
+class AnalysisReport(Record, frozen=False):
+    __slots__ = (
+        "input_diagram", "diagram", "mirrored", "a_adequate", "b_adequate",
+        "circles_all_b", "graph", "homotopy", "tables", "xd",
+    )
+
+    def __init__(
+        self,
+        input_diagram: Diagram,
+        diagram: Diagram,           # analyzed diagram; the mirror when mirrored is set
+        mirrored: bool,
+        a_adequate: bool,           # adequacy of the *input* diagram
+        b_adequate: bool,
+        circles_all_b: int,
+        graph: StateGraph,          # all-A state graph of ``diagram``
+        homotopy: HomotopyType,
+        tables: dict[str, dict[tuple[int, int], AbelianGroup]],
+        xd: PartialPresimplicialSet,
+    ):
+        self.input_diagram = input_diagram
+        self.diagram = diagram
+        self.mirrored = mirrored
+        self.a_adequate = a_adequate
+        self.b_adequate = b_adequate
+        self.circles_all_b = circles_all_b
+        self.graph = graph
+        self.homotopy = homotopy
+        self.tables = tables
+        self.xd = xd
 
     @property
     def crossing_count(self) -> int:

@@ -7,9 +7,9 @@ reduction, the cyclomatic number and bipartiteness are all read off here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from collections.abc import Hashable
 
+from ._record import Record
 from .diagram import Diagram, State, mirror, resolve
 
 
@@ -17,20 +17,20 @@ class GraphError(ValueError):
     """Graph does not satisfy an operation's precondition."""
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(Record):
     """Multigraph with ordered vertices and edges; edge order = crossing order."""
 
-    vertices: tuple[Hashable, ...]
-    edges: tuple[tuple[Hashable, Hashable], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices: tuple[Hashable, ...], edges: tuple[tuple[Hashable, Hashable], ...]):
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise GraphError("duplicate vertex names")
-        for e in self.edges:
+        for e in edges:
             if e[0] not in vset or e[1] not in vset:
                 raise GraphError(f"edge {e!r} touches an unknown vertex")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
