@@ -21,7 +21,6 @@ from .diagram import (
     parse_pd,
     to_pd_text,
 )
-from .homology import homology
 from .homotopy import homotopy_type
 from .khovanov import full_homology_table
 from .presimplicial import chain_complex, pps_from_json, pps_to_json
@@ -47,7 +46,6 @@ __all__ = [
     "diagram_from_json_dict",
     "diagram_to_json_dict",
     "full_homology_table",
-    "homology",
     "homotopy_type",
     "parse_pd",
     "pps_from_json",

@@ -9,7 +9,7 @@ class Record:
     A subclass lists its fields in ``__slots__``, in constructor order, and
     stores them in ``__init__`` (a frozen one with ``object.__setattr__``).
     A slot whose name starts with ``_`` holds derived state, neither
-    compared nor shown; ``_unshown`` names fields left out of the repr.
+    compared nor shown.
     ``class C(Record, frozen=False)`` makes a mutable, unhashable record.
 
     This replaces ``dataclasses``, whose import (with ``inspect``) and
@@ -18,7 +18,6 @@ class Record:
     """
 
     __slots__ = ()
-    _unshown = ()
 
     def __init_subclass__(cls, frozen=True):
         cls._fields = cls.__match_args__ = fields = tuple(
@@ -40,7 +39,7 @@ class Record:
         return hash(self._values)
 
     def __repr__(self):
-        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unshown)
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __reduce__(self):

@@ -34,7 +34,7 @@ from .khovanov import (
 from .presimplicial import (
     AxiomViolationError, PPSError, chain_complex, pps_from_json, pps_to_json, validate_pps
 )
-from .report import analyze_diagram, format_homology_table, render_table_json
+from .report import analyze_diagram, format_homology_table, render_polynomial, render_table_json
 
 ENV_MAX_C = "ALMAX_MAX_C"
 
@@ -179,7 +179,7 @@ def _cmd_table(args) -> int:
         doc = {
             "crossings": diagram.crossing_count,
             "homology": render_table_json(table),
-            "kauffman_bracket": bracket.render(),
+            "kauffman_bracket": render_polynomial(bracket),
             "euler_identity": identity_ok,
         }
         if oriented is not None:
@@ -188,7 +188,7 @@ def _cmd_table(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(format_homology_table(table))
-        print(f"kauffman bracket: {bracket.render()}")
+        print(f"kauffman bracket: {render_polynomial(bracket)}")
         print(f"euler identity: {'ok' if identity_ok else 'FAILED'}")
         if oriented is not None:
             print(f"oriented gradings (writhe {args.writhe}): rows J, columns I")

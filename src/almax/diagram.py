@@ -148,24 +148,6 @@ class State(Record):
         return cls(("A",) * crossing_count)
 
 
-class Resolution(Record, frozen=False):
-    """System of circles obtained by smoothing every crossing, as ``trace_state`` gives it.
-
-    Circles partition the arc ends 4x + slot; each circle is named by its
-    least arc end, and ``circles`` lists the names in sorted order.
-    ``end_circle[e]`` is the circle of arc end e, so the chord of crossing
-    x joins ``end_circle[4 * x]`` and ``end_circle[4 * x + 2]``.  The
-    crossingless unknot has no arc ends and one circle, named 0.
-    """
-
-    __slots__ = ("circles", "end_circle")
-    _unshown = ("end_circle",)
-
-    def __init__(self, circles: tuple[int, ...], end_circle: list[int]):
-        self.circles = circles
-        self.end_circle = end_circle
-
-
 # slot -> the slot a smoothing joins it to: A joins {0,1} and {2,3}, B joins {0,3} and {1,2}
 _A_JOINS = (1, 0, 3, 2)
 _B_JOINS = (3, 2, 1, 0)
@@ -205,8 +187,10 @@ def trace_state(steps: list, mask: int) -> tuple[tuple[int, ...], list[int]]:
     """(circle names in sorted order, the circle of each arc end) for the state ``mask``.
 
     Every circle is traced once by ``trace_circle``, from its least arc
-    end, which names it.  The crossingless unknot has no arc ends; its one
-    circle is named 0, here and so everywhere in the package.
+    end, which names it.  The circle of arc end e is ``end_circle[e]``, so
+    the chord of crossing x joins ``end_circle[4 * x]`` and
+    ``end_circle[4 * x + 2]``.  The crossingless unknot has no arc ends;
+    its one circle is named 0, here and so everywhere in the package.
     """
     if not steps:
         return (0,), []
@@ -261,10 +245,10 @@ def check_planar(diagram: Diagram) -> None:
         )
 
 
-def resolve(diagram: Diagram, state: State) -> Resolution:
-    """Smooth every crossing of ``diagram`` according to ``state``.
+def resolve(diagram: Diagram, state: State) -> tuple[tuple[int, ...], list[int]]:
+    """Smooth every crossing of ``diagram`` according to ``state``: (circles, end_circle).
 
-    The circles come from ``trace_state`` over a fresh ``step_table`` (the
+    The pair is what ``trace_state`` gives over a fresh ``step_table`` (the
     arc pairing it reads is the diagram's own).  Callers that walk many
     states of one diagram derive them incrementally with one table and
     ``trace_circle`` instead (see ``khovanov._walk``).
@@ -275,7 +259,7 @@ def resolve(diagram: Diagram, state: State) -> Resolution:
             f"state defined on {len(state.labels)} crossings, diagram has {c}"
         )
     mask = sum(1 << ci for ci, label in enumerate(state.labels) if label == "B")
-    return Resolution(*trace_state(step_table(diagram), mask))
+    return trace_state(step_table(diagram), mask)
 
 
 def mirror(diagram: Diagram) -> Diagram:

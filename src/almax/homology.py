@@ -85,11 +85,13 @@ class ChainComplexError(ValueError):
     """The boundary maps given as a chain complex do not compose to zero."""
 
 
-class IntMatrix:
+class IntMatrix(Record, frozen=False):
     """Sparse integer matrix, sized rows x cols, with the dict-of-rows ``data``.
 
     ``data`` maps a row to {column: non-zero entry} and holds no empty row;
-    it is taken as given, neither copied nor checked.
+    it is taken as given, neither copied nor checked.  Two matrices are
+    equal when their shapes and entries are; the repr shows the shape and
+    the number of entries only.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -98,15 +100,6 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = {} if data is None else data
-
-    @classmethod
-    def from_rows(cls, dense) -> "IntMatrix":
-        """The matrix of a list of rows, as wide as the first; a longer row raises IndexError."""
-        cols = len(dense[0]) if dense else 0
-        if any(len(row) > cols for row in dense):
-            raise IndexError(f"a row is longer than the first, which has {cols} entries")
-        rows = ({c: v for c, v in enumerate(row) if v} for row in dense)
-        return cls(len(dense), cols, {r: row for r, row in enumerate(rows) if row})
 
     @property
     def nnz(self) -> int:
@@ -264,17 +257,16 @@ def _finish(rows: dict[int, dict[int, int]]) -> list[int]:
     return diagonal
 
 
-def smith_normal_form(matrix) -> tuple[int, ...]:
-    """Non-zero diagonal of the Smith normal form of an integer matrix.
+def smith_normal_form(matrix: IntMatrix) -> tuple[int, ...]:
+    """Non-zero diagonal of the Smith normal form of an ``IntMatrix``.
 
-    Accepts an ``IntMatrix`` or any list-of-rows.  The result is the chain
-    of invariant factors d1 | d2 | ...; its length is the rank.  An empty
-    or zero matrix yields an empty diagonal.  Every matrix takes the same
-    path: +-1 pivots are cancelled first (each an invariant factor 1), and
-    ``_finish`` pivots on least entries of the leftover.
+    The result is the chain of invariant factors d1 | d2 | ...; its length
+    is the rank.  An empty or zero matrix yields an empty diagonal.  Every
+    matrix takes the same path: +-1 pivots are cancelled first (each an
+    invariant factor 1), and ``_finish`` pivots on least entries of the
+    leftover.
     """
-    m = matrix if isinstance(matrix, IntMatrix) else IntMatrix.from_rows(matrix)
-    rows, col_rows = _index(m.data, range(m.cols))
+    rows, col_rows = _index(matrix.data, range(matrix.cols))
     pivots, _ = _cancel_units(rows, col_rows)
     return (1,) * len(pivots) + tuple(_finish(rows))
 

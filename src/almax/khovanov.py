@@ -80,39 +80,6 @@ class TableSizeError(ValueError):
     """Diagram exceeds the configured full-table size bound."""
 
 
-class LaurentPoly:
-    """Laurent polynomial in one variable A with integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                head = "A" if e == 1 else f"A^{e}"
-                body = head if mag == 1 else f"{mag}*{head}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.render()})"
-
-
 def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
     """Convert framed gradings to oriented ones for a diagram of given writhe."""
     if (writhe - i) % 2 or (3 * writhe - j) % 2:
@@ -155,13 +122,12 @@ def _flip(steps: list, parent: _Res, mask: int, x: int) -> _Res:
 def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     """The resolution of each mask the walk keeps, by B-label bitmask, in walk order.
 
-    A resolution is the pair (circles, end) that ``trace_state`` returns:
-    the two fields of a ``diagram.Resolution``, kept bare so that no object
-    is built per mask.  The one step table is built here and mask 0 is
-    traced over it whole.  The walk is depth-first from all-A, and each
-    mask is extended only by bits above its highest one, so every mask is
-    reached once, from its parent (the mask minus its highest bit), which
-    ``_flip`` turns into it.
+    A resolution is the pair (circles, end) that ``trace_state`` and
+    ``diagram.resolve`` return, so that no object is built per mask.  The
+    one step table is built here and mask 0 is traced over it whole.  The
+    walk is depth-first from all-A, and each mask is extended only by bits
+    above its highest one, so every mask is reached once, from its parent
+    (the mask minus its highest bit), which ``_flip`` turns into it.
     With ``j`` given, the walk is cut: a mask with deficit
     ``|all-A circles| + |mask| - #circles`` carries no j above
     ``j_max - 2 * deficit``.  One flip adds at most one circle, so the
@@ -499,8 +465,8 @@ def _ranks(kept: dict[int, _Res], c: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def kauffman_bracket(diagram: Diagram) -> LaurentPoly:
-    """State sum over all Kauffman states: sum of A^sigma * d^circles.
+def kauffman_bracket(diagram: Diagram) -> dict[int, int]:
+    """State sum over all Kauffman states: sum of A^sigma * d^circles, as {exponent: coefficient}.
 
     Normalization: the bracket of the unknot diagram is d = -A^2 - A^-2,
     so this equals d times the usual bracket.  Since
@@ -517,14 +483,14 @@ def generator_rank_table(diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIM
     return _ranks(_walk(diagram), diagram.crossing_count)
 
 
-def euler_polynomial(table: dict) -> LaurentPoly:
-    """sum (-1)^((j-i)/2) * rank * A^j over a table of ranks or groups."""
+def euler_polynomial(table: dict) -> dict[int, int]:
+    """sum (-1)^((j-i)/2) * rank * A^j over a table of ranks or groups, as {j: non-zero coefficient}."""
     coeffs: dict[int, int] = {}
     for (i, j), value in table.items():
         r = value.free_rank if isinstance(value, AbelianGroup) else int(value)
         sign = -1 if ((j - i) // 2) % 2 else 1
         coeffs[j] = coeffs.get(j, 0) + sign * r
-    return LaurentPoly(coeffs)
+    return {j: coeff for j, coeff in coeffs.items() if coeff}
 
 
 def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGroup]:
@@ -543,7 +509,7 @@ def column_homology(diagram: Diagram, j: int) -> dict[tuple[int, int], AbelianGr
 
 def full_homology_table(
     diagram: Diagram, limit: int | None = DEFAULT_TABLE_LIMIT, writhe: int | None = None
-) -> tuple[dict[tuple[int, int], AbelianGroup], LaurentPoly]:
+) -> tuple[dict[tuple[int, int], AbelianGroup], dict[int, int]]:
     """Every non-trivial framed homology group, keyed by (i, j), and the bracket.
 
     One walk of the cube resolves each mask once.  The flip data of each

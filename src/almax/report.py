@@ -72,9 +72,6 @@ class AnalysisReport(Record, frozen=False):
     def circles_all_a(self) -> int:
         return len(self.graph.vertices)
 
-    # the all-A state graph has one vertex per all-A circle
-    vertex_count = circles_all_a
-
     @property
     def p1(self) -> int:
         return cyclomatic_number(simple_reduction(self.graph))
@@ -113,7 +110,7 @@ class AnalysisReport(Record, frozen=False):
             "circles_all_a": self.circles_all_a,
             "circles_all_b": self.circles_all_b,
             "graph": graph_to_json_dict(self.graph),
-            "vertex_count": self.vertex_count,
+            "vertex_count": self.circles_all_a,  # the all-A graph has a vertex per circle
             "p1": self.p1,
             "bipartite": self.bipartite,
             "j_max": self.j_max,
@@ -140,7 +137,7 @@ class AnalysisReport(Record, frozen=False):
             f"B {'yes' if self.b_adequate else 'no'}"
         )
         lines.append(
-            f"state graph: {self.vertex_count} vertices, {len(self.graph.edges)} edges, "
+            f"state graph: {self.circles_all_a} vertices, {len(self.graph.edges)} edges, "
             f"p1 = {self.p1}, {'bipartite' if self.bipartite else 'odd cycle present'}"
         )
         lines.append(f"j_max = {self.j_max}, j_almax = {self.j_almax}")
@@ -164,6 +161,28 @@ class AnalysisReport(Record, frozen=False):
 
 def render_table_json(table: dict[tuple[int, int], AbelianGroup]) -> dict[str, str]:
     return {f"{i},{j}": group.render() for (i, j), group in sorted(table.items())}
+
+
+def render_polynomial(coeffs: dict[int, int]) -> str:
+    """A Laurent polynomial in A, given as {exponent: coefficient}: ``'-A^9 + A + A^-3'``.
+
+    Terms run from the highest exponent down, zero coefficients are
+    skipped, and the zero polynomial is ``'0'``.
+    """
+    parts = []
+    for e in sorted((e for e, c in coeffs.items() if c), reverse=True):
+        c = coeffs[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            head = "A" if e == 1 else f"A^{e}"
+            body = head if mag == 1 else f"{mag}*{head}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisReport:

@@ -47,9 +47,8 @@ def build_state_graph(diagram: Diagram, state: State) -> StateGraph:
     A circle, named inside the package by its least arc end 4x + slot, is
     the vertex ``c<x>s<slot>``; the one circle of the unknot is ``freeloop``.
     """
-    res = resolve(diagram, state)
-    end = res.end_circle
-    names = {n: f"c{n >> 2}s{n & 3}" if end else "freeloop" for n in res.circles}
+    circles, end = resolve(diagram, state)
+    names = {n: f"c{n >> 2}s{n & 3}" if end else "freeloop" for n in circles}
     return StateGraph(
         vertices=tuple(names.values()),
         edges=tuple(

@@ -33,14 +33,13 @@ from itertools import combinations, combinations_with_replacement, permutations
 from almax.diagram import (
     Diagram,
     DiagramError,
-    Resolution,
     State,
     resolve,
     step_table,
     trace_state,
 )
 from almax.homology import AbelianGroup, ChainComplexError, IntMatrix
-from almax.khovanov import LaurentPoly, _square_commutes
+from almax.khovanov import _square_commutes
 from almax.presimplicial import (
     EMPTY_PPS,
     AxiomViolation,
@@ -69,8 +68,8 @@ def arc_partner(diagram: Diagram) -> dict:
     return partner
 
 
-def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
-    """Circles of ``state`` by a disjoint-set union over arc ends (crossing, slot).
+def union_find_resolution(diagram: Diagram, state: State) -> tuple[tuple[int, ...], list[int]]:
+    """(circles, end_circle) of ``state`` by a disjoint-set union over arc ends (crossing, slot).
 
     The two ends of each arc are unified, and at each crossing every slot
     with the slot its label's smoothing joins it to.  A union keeps the
@@ -80,7 +79,7 @@ def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
     """
     c = diagram.crossing_count
     if c == 0:
-        return Resolution(circles=(0,), end_circle=[])
+        return (0,), []
     parent = {(ci, slot): (ci, slot) for ci in range(c) for slot in range(4)}
 
     def find(x):
@@ -99,7 +98,7 @@ def union_find_resolution(diagram: Diagram, state: State) -> Resolution:
         for slot in range(4):
             union((ci, slot), (ci, match[slot]))
     end_circle = [4 * x + slot for x, slot in (find(end) for end in sorted(parent))]
-    return Resolution(circles=tuple(sorted(set(end_circle))), end_circle=end_circle)
+    return tuple(sorted(set(end_circle))), end_circle
 
 
 def trace_circle_count(diagram: Diagram, state: State) -> int:
@@ -233,8 +232,8 @@ def random_pd_codes(count: int, seed: int, max_crossings: int = 4):
 
 def j_extremes(diagram: Diagram) -> tuple[int, int]:
     """(j_max, j_almax): c + 2|all-A circles| and four less, the circles by ``resolve``."""
-    res = resolve(diagram, State.all_a(diagram.crossing_count))
-    j_max = diagram.crossing_count + 2 * len(res.circles)
+    circles, _ = resolve(diagram, State.all_a(diagram.crossing_count))
+    j_max = diagram.crossing_count + 2 * len(circles)
     return j_max, j_max - 4
 
 
@@ -243,7 +242,7 @@ def shift_table(table: dict, di: int, dj: int) -> dict:
     return {(i + di, j + dj): v for (i, j), v in table.items()}
 
 
-def bracket_oracle(diagram: Diagram) -> LaurentPoly:
+def bracket_oracle(diagram: Diagram) -> dict[int, int]:
     """Kauffman bracket as the state sum of A^sigma * d^circles over ``trace_circle_count``.
 
     Each d^k = (-A^2 - A^-2)^k is expanded here by the binomial theorem:
@@ -257,7 +256,7 @@ def bracket_oracle(diagram: Diagram) -> LaurentPoly:
         for n in range(k + 1):
             e = sigma + 2 * k - 4 * n
             coeffs[e] = coeffs.get(e, 0) + (-1) ** k * math.comb(k, n)
-    return LaurentPoly(coeffs)
+    return {e: coeff for e, coeff in coeffs.items() if coeff}
 
 
 # --- enhanced-state oracles ---------------------------------------------------
@@ -275,11 +274,11 @@ def mask_state(c: int, mask: int) -> State:
 def sign_map(diagram: Diagram, generator) -> dict:
     """Circle name -> sign of that circle, for every circle of the generator's state."""
     mask, negatives = generator
-    res = resolve(diagram, mask_state(diagram.crossing_count, mask))
-    stray = negatives - set(res.circles)
+    circles, _ = resolve(diagram, mask_state(diagram.crossing_count, mask))
+    stray = negatives - set(circles)
     if stray:
         raise ValueError(f"signs refer to unknown circles: {sorted(stray)}")
-    return {name: -1 if name in negatives else 1 for name in res.circles}
+    return {name: -1 if name in negatives else 1 for name in circles}
 
 
 def gradings(diagram: Diagram, generator) -> tuple[int, int]:
@@ -293,7 +292,7 @@ def enhanced_census(diagram: Diagram) -> dict:
     c = diagram.crossing_count
     census: dict = {}
     for mask in range(1 << c):
-        circles = resolve(diagram, mask_state(c, mask)).circles
+        circles, _ = resolve(diagram, mask_state(c, mask))
         i = c - 2 * mask.bit_count()
         for negatives in range(len(circles) + 1):
             bucket = census.setdefault((i, i + 2 * (len(circles) - 2 * negatives)), [])
@@ -333,15 +332,16 @@ def reference_differential(diagram: Diagram):
 
     def differential(generator) -> dict:
         mask, negatives = generator
-        source = resolution(mask)
+        _, source = resolution(mask)
         image: dict = {}
         for x in range(c):
             if mask >> x & 1:
                 continue
             target = mask | 1 << x
             incidence = (-1) ** sum(mask >> y & 1 for y in range(x + 1, c))
-            s0, s2 = source.end_circle[4 * x], source.end_circle[4 * x + 2]
-            t0, t2 = resolution(target).end_circle[4 * x], resolution(target).end_circle[4 * x + 2]
+            _, ends = resolution(target)
+            s0, s2 = source[4 * x], source[4 * x + 2]
+            t0, t2 = ends[4 * x], ends[4 * x + 2]
             sign = {name: -1 if name in negatives else 1 for name in (s0, s2)}
             if s0 != s2:
                 if t0 != t2:
@@ -371,11 +371,11 @@ def almost_extreme_generators(diagram: Diagram) -> dict:
     if not is_a_adequate(diagram):
         raise ValueError("almost-extreme characterization needs an A-adequate diagram")
     c = diagram.crossing_count
-    all_a = resolve(diagram, State.all_a(c)).circles
+    all_a, _ = resolve(diagram, State.all_a(c))
     per_i = {c: [(0, frozenset({name})) for name in all_a]}
     for mask in range(1, 1 << c):
         r = mask.bit_count()
-        if len(resolve(diagram, mask_state(c, mask)).circles) == len(all_a) + r - 2:
+        if len(resolve(diagram, mask_state(c, mask))[0]) == len(all_a) + r - 2:
             per_i.setdefault(c - 2 * r, []).append((mask, frozenset()))
     return per_i
 
@@ -631,6 +631,15 @@ def unsigned_flips(out: dict) -> dict:
 
 
 # --- SNF oracles --------------------------------------------------------------
+
+
+def dense_matrix(dense: list[list[int]]) -> IntMatrix:
+    """The ``IntMatrix`` of a list of rows, as wide as the first; a longer row raises IndexError."""
+    cols = len(dense[0]) if dense else 0
+    if any(len(row) > cols for row in dense):
+        raise IndexError(f"a row is longer than the first, which has {cols} entries")
+    rows = ({c: v for c, v in enumerate(row) if v} for row in dense)
+    return IntMatrix(len(dense), cols, {r: row for r, row in enumerate(rows) if row})
 
 
 def to_rows(matrix: IntMatrix) -> list[list[int]]:

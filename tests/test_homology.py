@@ -1,8 +1,8 @@
-import importlib
 import random
 
 import pytest
 
+import almax.homology as homology_module
 from almax.diagram import parse_pd
 from almax.homology import (
     AbelianGroup,
@@ -21,6 +21,7 @@ from helpers import (
     compose,
     compositions_vanish,
     dense_invariant_factors,
+    dense_matrix,
     homology_minor_gcd,
     invariant_factors,
     schur_cancel_units,
@@ -28,9 +29,6 @@ from helpers import (
     to_rows,
     torus_two_strand,
 )
-
-# ``almax.homology`` the module; the package exports the function of that name
-homology_module = importlib.import_module("almax.homology")
 
 # boundary of the projective-plane cell structure: T0 -> r0+r2, T1 -> -r1+r2, T2 -> r0-r1
 RP2_BOUNDARY = [
@@ -76,21 +74,21 @@ class TestAbelianGroup:
 
 class TestSmithNormalForm:
     def test_single_entry(self):
-        assert smith_normal_form([[2]]) == (2,)
+        assert smith_normal_form(dense_matrix([[2]])) == (2,)
 
     def test_identity(self):
-        assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
+        assert smith_normal_form(dense_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (1, 1, 1)
 
     def test_rp2_boundary(self):
-        assert smith_normal_form(RP2_BOUNDARY) == (1, 1, 2)
+        assert smith_normal_form(dense_matrix(RP2_BOUNDARY)) == (1, 1, 2)
 
     def test_empty_and_zero(self):
-        assert smith_normal_form([]) == ()
-        assert smith_normal_form([[0, 0], [0, 0]]) == ()
+        assert smith_normal_form(dense_matrix([])) == ()
+        assert smith_normal_form(dense_matrix([[0, 0], [0, 0]])) == ()
         assert smith_normal_form(IntMatrix(0, 5)) == ()
 
     def test_divisibility_chain_and_sign(self):
-        factors = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        factors = smith_normal_form(dense_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
         assert all(f > 0 for f in factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
@@ -101,7 +99,7 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             dense = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-            assert smith_normal_form(dense) == snf_minor_gcd(dense), dense
+            assert smith_normal_form(dense_matrix(dense)) == snf_minor_gcd(dense), dense
 
     def test_sparse_path_agrees_with_dense(self):
         # unit cancellation followed by the finisher, against the dense algorithm alone
@@ -135,7 +133,7 @@ class TestSmithNormalForm:
         ],
     )
     def test_unit_free_finisher_known_answers(self, dense, factors):
-        assert smith_normal_form(dense) == factors
+        assert smith_normal_form(dense_matrix(dense)) == factors
         assert snf_minor_gcd(dense) == factors
 
     def test_unit_free_finisher_agrees_with_oracles(self):
@@ -149,7 +147,7 @@ class TestSmithNormalForm:
                 [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
                 for _ in range(rows)
             ]
-            got = smith_normal_form(dense)
+            got = smith_normal_form(dense_matrix(dense))
             assert got == tuple(dense_invariant_factors(dense)), dense
             if rows <= 4 and cols <= 4:
                 assert got == snf_minor_gcd(dense), dense
@@ -215,17 +213,17 @@ class TestSmithNormalForm:
 
 class TestIntMatrix:
     def test_compose(self):
-        a = IntMatrix.from_rows([[1, 2], [0, 1]])
-        b = IntMatrix.from_rows([[1, 0], [3, 1]])
+        a = dense_matrix([[1, 2], [0, 1]])
+        b = dense_matrix([[1, 0], [3, 1]])
         assert to_rows(compose(a, b)) == [[7, 2], [3, 1]]
 
-    def test_from_rows_rejects_a_long_row(self):
+    def test_dense_matrix_rejects_a_long_row(self):
         with pytest.raises(IndexError):
-            IntMatrix.from_rows([[1, 0], [0, 1, 2]])
+            dense_matrix([[1, 0], [0, 1, 2]])
 
 
 def make_complex(ranks, dense_boundaries, step=1):
-    boundaries = {k: IntMatrix.from_rows(rows) for k, rows in dense_boundaries.items()}
+    boundaries = {k: dense_matrix(rows) for k, rows in dense_boundaries.items()}
     return IntegerChainComplex(ranks=ranks, boundaries=boundaries, step=step)
 
 

@@ -1,8 +1,10 @@
-"""The README's library example runs as written, the public names exist, and src/ holds
-nothing that only the tests reach."""
+"""The README's library example runs as written, the public names exist, ``almax.homology``
+is the module, and src/ holds nothing that only the tests reach."""
 
 import ast
 import re
+import sys
+import types
 from pathlib import Path
 
 import almax
@@ -31,6 +33,15 @@ def test_readme_library_block_runs():
         assert eval(match.group(1), namespace) == expected, line
         checked += 1
     assert checked >= 5
+
+
+def test_almax_homology_is_the_module():
+    import almax.homology as imported
+    from almax import homology as attribute
+
+    assert isinstance(imported, types.ModuleType) and imported.__name__ == "almax.homology"
+    assert almax.homology is imported is attribute is sys.modules["almax.homology"]
+    assert callable(imported.homology) and "homology" not in almax.__all__
 
 
 def test_every_public_name_resolves():

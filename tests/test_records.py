@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from almax import analyze_diagram, parse_pd
-from almax.diagram import Diagram, Resolution, State, resolve
+from almax.diagram import Diagram, State
 from almax.homology import AbelianGroup, IntegerChainComplex, IntMatrix
 from almax.homotopy import HomotopyType
 from almax.presimplicial import AxiomViolation, PartialPresimplicialSet
@@ -21,7 +21,6 @@ from conftest import LEFT_TREFOIL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
-TIMES_TWO = IntMatrix(1, 1, {0: {0: 2}})
 
 
 def frozen_pairs():
@@ -40,9 +39,8 @@ def frozen_pairs():
 def mutable_pairs():
     """Two equal, separately built instances of each mutable record, with its fields."""
     return [
-        (lambda: Resolution((0, 4), [0, 0, 4, 4]), ("circles", "end_circle")),
-        # IntMatrix compares by identity, so both complexes hold the one matrix
-        (lambda: IntegerChainComplex({0: 1, 1: 1}, {1: TIMES_TWO}, 1),
+        (lambda: IntMatrix(2, 3, {0: {1: 2}, 1: {0: -1, 2: 1}}), ("rows", "cols", "data")),
+        (lambda: IntegerChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, {0: {0: 2}})}, 1),
          ("ranks", "boundaries", "step")),
         (lambda: analyze_diagram(parse_pd(LEFT_TREFOIL)),
          ("input_diagram", "diagram", "mirrored", "a_adequate", "b_adequate",
@@ -87,7 +85,11 @@ def test_records_differ_when_one_field_does():
     assert AbelianGroup(1, (2,)) != AbelianGroup(1, (4,))
     assert AbelianGroup(1) != AbelianGroup(2)
     assert Diagram(TREFOIL) != Diagram(TREFOIL[1:] + TREFOIL[:1])
-    assert Resolution((0,), [0]) != Resolution((0,), [1])
+    assert IntMatrix(1, 2, {0: {0: 1}}) != IntMatrix(1, 2, {0: {1: 1}})
+    assert IntMatrix(1, 2, {0: {0: 1}}) != IntMatrix(2, 1, {0: {0: 1}})
+    assert IntegerChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, {0: {0: 2}})}) != (
+        IntegerChainComplex({0: 1, 1: 1}, {1: IntMatrix(1, 1, {0: {0: 3}})})
+    )
     assert HomotopyType((1,)) != HomotopyType((1,), 0)
 
 
@@ -106,16 +108,18 @@ def test_frozen_fields_are_read_only(make, fields):
 
 
 def test_mutable_records_take_assignment():
-    res = Resolution((0,), [0])
-    res.circles = (4,)
-    assert res == Resolution((4,), [0])
+    matrix = IntMatrix(1, 1)
+    matrix.data = {0: {0: 2}}
+    assert matrix == IntMatrix(1, 1, {0: {0: 2}})
 
 
 @pytest.mark.parametrize("make, fields", ALL_PAIRS)
 def test_repr_lists_the_fields_in_order(make, fields):
     obj = make()
-    shown = tuple(n for n in fields if not (isinstance(obj, Resolution) and n == "end_circle"))
-    assert repr(obj) == expected_repr(obj, shown)
+    if isinstance(obj, IntMatrix):  # a matrix shows its shape and its number of entries
+        assert repr(obj) == f"IntMatrix({obj.rows}x{obj.cols}, nnz={obj.nnz})"
+    else:
+        assert repr(obj) == expected_repr(obj, fields)
 
 
 def test_repr_text():
@@ -127,7 +131,7 @@ def test_repr_text():
     )
     assert repr(Diagram((), 1)) == "Diagram(crossings=(), free_loops=1)"
     assert repr(State(("A", "B"))) == "State(labels=('A', 'B'))"
-    assert repr(resolve(Diagram(TREFOIL), State.all_a(3))) == "Resolution(circles=(0, 2, 4))"
+    assert repr(IntMatrix(3, 4, {0: {0: 1, 3: 2}, 2: {1: 1, 2: 5, 3: -1}})) == "IntMatrix(3x4, nnz=5)"
     assert repr(HomotopyType((2, 1), None)) == "HomotopyType(spheres=(1, 2), rp2_suspensions=None)"
     assert repr(AxiomViolation(2, "x", 0, 1, "a", None)) == (
         "AxiomViolation(dimension=2, cell='x', i=0, j=1, left='a', right=None)"
@@ -147,7 +151,8 @@ def test_constructor_signatures_and_defaults():
     assert Diagram(TREFOIL) == Diagram(crossings=TREFOIL, free_loops=0)
     assert IntegerChainComplex({}, {}).step == 1
     assert IntegerChainComplex(ranks={}, boundaries={}, step=2).step == 2
-    assert Resolution(circles=(0,), end_circle=[]).end_circle == []
+    assert IntMatrix(2, 3).data == {}
+    assert IntMatrix(rows=2, cols=3, data={0: {0: 1}}).nnz == 1
     assert State(labels=("A",)).labels == ("A",)
     assert StateGraph(vertices=(), edges=()).edge_count == 0
     v = AxiomViolation(dimension=1, cell="e", i=0, j=1, left=None, right="p")
@@ -155,7 +160,7 @@ def test_constructor_signatures_and_defaults():
     with pytest.raises(TypeError):
         AbelianGroup(1, (), 3)
     with pytest.raises(TypeError):
-        Resolution((0,))
+        IntMatrix(1)
 
 
 def test_checks_run_at_construction():
@@ -180,8 +185,7 @@ def test_records_copy_and_pickle(make, fields):
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj)
         assert repr(twin) == repr(obj)
-        if not isinstance(obj, IntegerChainComplex):  # IntMatrix compares by identity
-            assert twin == obj
+        assert twin == obj
 
 
 def test_records_match_by_position():

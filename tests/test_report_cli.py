@@ -23,7 +23,7 @@ from almax.diagram import (
 )
 from almax.homology import AbelianGroup
 from almax.presimplicial import pps_from_json
-from almax.report import analyze_diagram, format_homology_table
+from almax.report import analyze_diagram, format_homology_table, render_polynomial
 
 from conftest import (
     B_ADEQUATE_ONLY,
@@ -187,8 +187,8 @@ class TestAnalyzeDiagram:
                 d = rotation_pd(rotation)
                 c = d.crossing_count
                 genus_zero = (
-                    len(resolve(d, State.all_a(c)).circles)
-                    + len(resolve(d, State(("B",) * c)).circles)
+                    len(resolve(d, State.all_a(c))[0])
+                    + len(resolve(d, State(("B",) * c))[0])
                     == c + 2
                 )
                 if not genus_zero:
@@ -263,6 +263,36 @@ class TestFormatTable:
 
     def test_empty(self):
         assert format_homology_table({}) == "(empty table)"
+
+
+class TestRenderPolynomial:
+    def test_render(self):
+        assert render_polynomial({9: -1, 1: 1, -3: 1, -7: 1}) == "-A^9 + A + A^-3 + A^-7"
+        assert render_polynomial({0: 2, 2: -3}) == "-3*A^2 + 2"
+        assert render_polynomial({}) == "0"
+
+    def test_constant_term(self):
+        assert render_polynomial({0: 1}) == "1"
+        assert render_polynomial({0: -1}) == "-1"
+        assert render_polynomial({2: 1, 0: -1}) == "A^2 - 1"
+        assert render_polynomial({2: 1, 0: 1}) == "A^2 + 1"
+
+    def test_linear_term(self):
+        assert render_polynomial({1: 1}) == "A"
+        assert render_polynomial({1: -1}) == "-A"
+        assert render_polynomial({1: 2}) == "2*A"
+        assert render_polynomial({1: -2}) == "-2*A"
+        assert render_polynomial({3: 1, 1: -2}) == "A^3 - 2*A"
+
+    def test_negative_leading_term_and_exponents(self):
+        assert render_polynomial({-2: -1, -6: 1}) == "-A^-2 + A^-6"
+        assert render_polynomial({-1: 3, -4: -2}) == "3*A^-1 - 2*A^-4"
+        assert render_polynomial({2: -1, -2: -1}) == "-A^2 - A^-2"
+
+    def test_terms_run_from_the_highest_exponent_and_skip_zeros(self):
+        assert render_polynomial({-3: 1, 5: 1, 0: 4}) == "A^5 + 4 + A^-3"
+        assert render_polynomial({4: 0, 1: -1, 0: 0}) == "-A"
+        assert render_polynomial({3: 0}) == "0"
 
 
 class TestCliAnalyze:
