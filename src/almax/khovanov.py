@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, MutableSequence
 from itertools import combinations
 
 from .diagram import (
@@ -93,7 +93,23 @@ def framed_to_oriented(i: int, j: int, writhe: int) -> tuple[int, int]:
 # -- internal enhanced-state machinery ---------------------------------------
 
 #: A resolution inside the direct route: (sorted circle names, circle of each arc end).
-_Res = tuple[tuple[int, ...], list[int]]
+#: The end map is a ``bytearray``, or past 64 crossings an ``array.array`` (``_end_map``).
+_Res = tuple[tuple[int, ...], MutableSequence[int]]
+
+
+def _end_map(c: int, end: list[int]) -> MutableSequence[int]:
+    """``end`` stored in the narrowest unsigned type that holds every arc end 0 .. 4c - 1.
+
+    Up to c = 64 that is a byte, kept in a ``bytearray``, which needs no
+    import.  Wider maps are an ``array.array`` of the smallest typecode
+    that fits; loading that extension module adds about 0.15 MiB to a
+    process, so it is loaded only for diagrams that need it.
+    """
+    if 4 * c <= 256:
+        return bytearray(end)
+    from array import array
+
+    return array(next(code for code in "HILQ" if 4 * c <= 1 << 8 * array(code).itemsize), end)
 
 
 def _flip(steps: list, parent: _Res, mask: int, x: int) -> _Res:
@@ -101,7 +117,9 @@ def _flip(steps: list, parent: _Res, mask: int, x: int) -> _Res:
 
     Only the circles through x change (two merge, or one splits, or on
     non-planar data one stays one), so only they are retraced with
-    ``trace_circle`` over the step table ``steps``.
+    ``trace_circle`` over the step table ``steps``.  The parent's end map
+    is packed (``_end_map``), so the copy made here is 4c machine
+    integers, bytes up to c = 64, not 4c pointers.
     """
     circles, end = parent
     end = end[:]
@@ -123,8 +141,12 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     """The resolution of each mask the walk keeps, by B-label bitmask, in walk order.
 
     A resolution is the pair (circles, end) that ``trace_state`` and
-    ``diagram.resolve`` return, so that no object is built per mask.  The
-    one step table is built here and mask 0 is traced over it whole.  The
+    ``diagram.resolve`` return, so that no object is built per mask, but
+    ``end`` is packed in the narrowest unsigned type that holds 4c - 1
+    (``_end_map``: a ``bytearray`` up to c = 64), not a list.  A kept
+    mask's end map then takes 4c bytes, not 4c pointers, and ``_flip``
+    copies bytes; the table, which keeps the whole cube, saves the same.
+    The one step table is built here and mask 0 is traced over it whole.  The
     walk is depth-first from all-A, and each mask is extended only by bits
     above its highest one, so every mask is reached once, from its parent
     (the mask minus its highest bit), which ``_flip`` turns into it.
@@ -147,8 +169,9 @@ def _walk(diagram: Diagram, j: int | None = None) -> dict[int, _Res]:
     """
     steps = step_table(diagram)
     c = diagram.crossing_count
-    root = trace_state(steps, 0)
-    circles_a = len(root[0])
+    circles, end = trace_state(steps, 0)
+    root = circles, _end_map(c, end)
+    circles_a = len(circles)
     slack = None if j is None else c + 2 * circles_a - j  # j_max - j
     kept: dict[int, _Res] = {}
     stack = [0]
@@ -295,19 +318,39 @@ def _boundary(
     a target position to {source position: entry}; no other source is
     imaged.  Given ``col_rows``, the same pass records in it the rows of
     each column, so that the two inputs of ``homology._cancel_units`` are
-    written together.  Each (row, column) is met once: the flipped
-    crossing fixes the target state, and a split's two images differ in
-    which new circle is negative.  So every entry is written straight into
-    the rows.
+    written together; without it (``KhovanovColumn.complex``) no per-column
+    set is built.  Which of the two loops runs is chosen once per call, so
+    neither pays a branch per entry.  Each (row, column) is met once: the
+    flipped crossing fixes the target state, and a split's two images
+    differ in which new circle is negative.  So every entry is written
+    straight into the rows.
     """
     target_index: dict[int, dict[int, int]] = {}
     for r, (mask, negs) in enumerate(targets):
         target_index.setdefault(mask, {})[negs] = r
     rows: dict[int, dict[int, int]] = {}
     last = None
+    if col_rows is None:
+        for col in positions:
+            mask, negs = sources[col]
+            if mask != last:  # a mask's generators are contiguous
+                last = mask
+                flips = flips_of(mask)
+            for x, (incidence, b0, b2, t0, t2) in flips.items():
+                images = _images(negs, b0, b2, t0, t2)
+                if images:
+                    targets_of = target_index[mask | 1 << x]
+                    for image in images:
+                        r = targets_of[image]
+                        row = rows.get(r)
+                        if row is None:
+                            rows[r] = {col: incidence}
+                        else:
+                            row[col] = incidence
+        return rows
     for col in positions:
         mask, negs = sources[col]
-        if mask != last:  # a mask's generators are contiguous
+        if mask != last:
             last = mask
             flips = flips_of(mask)
         holders = set()
@@ -323,7 +366,7 @@ def _boundary(
                         rows[r] = {col: incidence}
                     else:
                         row[col] = incidence
-        if holders and col_rows is not None:
+        if holders:
             col_rows[col] = holders
     return rows
 

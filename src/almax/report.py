@@ -192,6 +192,12 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     set, in which case the mirror image is analyzed and the report carries
     the mirrored flag; framed gradings refer to the mirror.  A non-planar
     PD code is rejected with ``NonPlanarDiagramError`` before any other work.
+
+    The direct route's column is reduced (``column_homology``) before
+    ``build_xd`` and the cellular complex are built.  On T(2,n) both cover
+    the whole 2^c cube, and the report keeps the cells, so this order makes
+    the peak the larger of the two routes' working sets, not their sum.
+    Neither route reads the other's output; only the order changes.
     """
     check_planar(diagram)
     c = diagram.crossing_count
@@ -217,6 +223,8 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
             )
         raise InadequateDiagramError(f"diagram is not semiadequate ({detail})")
 
+    j_almax = c + 2 * len(graph.vertices) - 4  # report.j_almax, before the report holds the cells
+    direct = column_homology(target, j_almax)
     report = AnalysisReport(
         input_diagram=diagram,
         diagram=target,
@@ -229,7 +237,6 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         tables={},
         xd=build_xd(graph),
     )
-    j_almax = report.j_almax
 
     def place(groups: dict[int, AbelianGroup]) -> dict[tuple[int, int], AbelianGroup]:
         """Reduced homology in realization degree k is Kh^{2k - c + 2, j_almax}."""
@@ -238,7 +245,7 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     report.tables.update(
         formula=place(report.homotopy.reduced_homology()),
         cellular=place(nonzero_groups(homology(chain_complex(report.xd, reduced=True)))),
-        direct=column_homology(target, j_almax),
+        direct=direct,
     )
     return report
 

@@ -34,6 +34,7 @@ from almax.diagram import (
     Diagram,
     DiagramError,
     State,
+    add_positive_kink,
     resolve,
     step_table,
     trace_state,
@@ -443,6 +444,14 @@ def torus_two_strand(q: int) -> Diagram:
     if q < 1:
         raise ValueError("q must be >= 1")
     return rotation_pd({"u": list(range(q)), "w": list(reversed(range(q)))})
+
+
+def seeded_kinks(diagram: Diagram, kinks: int, seed: int) -> Diagram:
+    """``diagram`` with ``kinks`` positive kinks, each on an arc that ``random.Random(seed)`` picks."""
+    rng = random.Random(seed)
+    for _ in range(kinks):
+        diagram = add_positive_kink(diagram, rng.choice(diagram.arc_ids()))
+    return diagram
 
 
 def component_count(diagram: Diagram) -> int:

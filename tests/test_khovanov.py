@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,7 @@ from helpers import (
     random_reidemeister_two,
     reference_differential,
     scan_census,
+    seeded_kinks,
     shift_table,
     sign_map,
     torus_two_strand,
@@ -556,6 +561,11 @@ class TestCensus:
         assert all(ref() is None for ref in previous)
 
 
+def listed(kept: dict) -> list:
+    """A walk's (mask, (circles, end)) in walk order, each end map as a list."""
+    return [(mask, (circles, list(end))) for mask, (circles, end) in kept.items()]
+
+
 class TestPrunedColumnWalk:
     def test_every_j_of_random_braid_closures(self):
         kinds = Counter()
@@ -612,14 +622,10 @@ class TestPrunedColumnWalk:
         diagrams = dict(corpus)
         for seed in (1, 2, 3):
             diagrams[f"T(2,8) scrambled {seed}"] = scrambled(torus_two_strand(8), seed)
-        seeded_kinks = (("10_44", KNOT_10_44, (1, 3, 10, 30)), ("8_20", KNOT_8_20, (4, 10, 20)))
-        for name, pd, counts in seeded_kinks:
+        kinked = (("10_44", KNOT_10_44, (1, 3, 10, 30)), ("8_20", KNOT_8_20, (4, 10, 20)))
+        for name, pd, counts in kinked:
             for kinks in counts:
-                rng = random.Random(kinks)
-                d = parse_pd(pd)
-                for _ in range(kinks):
-                    d = add_positive_kink(d, rng.choice(d.arc_ids()))
-                diagrams[f"{name} + {kinks} kinks"] = d
+                diagrams[f"{name} + {kinks} kinks"] = seeded_kinks(parse_pd(pd), kinks, seed=kinks)
         assert max(d.crossing_count for d in diagrams.values()) == 40
         flipped = []
         real_flip = khovanov._flip
@@ -641,7 +647,7 @@ class TestPrunedColumnWalk:
                 flipped.clear()
                 kept = khovanov._walk(d, j)
                 assert len(flipped) == len(kept) - 1, (name, j)
-                assert list(kept.items()) == list(traced_cut_walk(d, j).items()), (name, j)
+                assert listed(kept) == listed(traced_cut_walk(d, j)), (name, j)
                 if full is not None:
                     circles_a = len(full[0][0])
                     within = {
@@ -661,7 +667,37 @@ class TestPrunedColumnWalk:
         for d in codes:
             j_max, _ = j_extremes(d)
             for j in range(j_max, j_max - 4 * d.crossing_count - 1, -2):
-                assert list(khovanov._walk(d, j).items()) == list(traced_cut_walk(d, j).items())
+                assert listed(khovanov._walk(d, j)) == listed(traced_cut_walk(d, j))
+
+    def test_end_maps_wider_than_bytes_past_64_crossings(self):
+        # 4c - 1 > 255 from c = 65 on, so the walk's end maps are two bytes wide
+        assert type(khovanov._end_map(0, [])) is type(khovanov._end_map(64, [255])) is bytearray
+        assert khovanov._end_map(65, [256]).typecode == "H"
+        assert khovanov._end_map(16384, [65535]).typecode == "H"
+        assert khovanov._end_map(16385, [65536]).itemsize == 4
+        d = seeded_kinks(parse_pd(KNOT_10_44), 55, seed=1)
+        c = d.crossing_count
+        assert c == 65
+        j_max, j_almax = j_extremes(d)
+        for j in (j_max, j_almax, j_almax - 4):
+            kept = khovanov._walk(d, j)
+            for mask, (circles, end) in kept.items():
+                assert end.typecode == "H"
+                assert (circles, list(end)) == resolve(d, mask_state(c, mask)), (j, mask)
+
+    def test_byte_end_maps_load_no_extension_module(self):
+        # loading ``array`` adds about 0.15 MiB to every process; below c = 65 nothing needs it
+        code = (
+            "import sys; from almax.cli import main; "
+            f"main(['table', {KNOT_10_44!r}]); main(['analyze', {KNOT_10_44!r}]); "
+            "print('array' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(khovanov.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestResolutionStore:
@@ -687,7 +723,8 @@ class TestResolutionStore:
             # the circles, and the circle of each arc end, so the chords
             assert resolve(d, mask_state(c, mask)) == want
             assert trace_state(steps, mask) == want
-            assert kept[mask] == want
+            circles, end = kept[mask]
+            assert (circles, list(end)) == want
         return kept
 
     def test_derived_resolutions_match_union_find(self, corpus, unknot):

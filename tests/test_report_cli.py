@@ -35,7 +35,14 @@ from conftest import (
     LEFT_TREFOIL,
     RIGHT_TREFOIL,
 )
-from helpers import MALFORMED_PPS, face_count, random_pd_codes, torus_two_strand, unsigned_flips
+from helpers import (
+    MALFORMED_PPS,
+    face_count,
+    random_pd_codes,
+    seeded_kinks,
+    torus_two_strand,
+    unsigned_flips,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +129,31 @@ class TestAnalyzeDiagram:
             assert calls == {"resolve": 2, "mirror": 1, "occurrences": 2}, pd
             mirrored += report.mirrored
         assert mirrored >= 2  # the mirrored path is counted too
+
+    def test_direct_column_is_reduced_before_the_cells_are_built(self, monkeypatch, corpus):
+        # the direct route's working set is freed before build_xd starts, so
+        # analyze's peak is the larger route's, not the two stacked
+        events = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                events.append(f"{name} starts")
+                out = real(*args)
+                events.append(f"{name} returns")
+                return out
+            return wrapped
+
+        for name in ("column_homology", "build_xd"):
+            monkeypatch.setattr(report_module, name, spy(name, getattr(report_module, name)))
+        for name, d in corpus.items():
+            events.clear()
+            assert analyze_diagram(d).agreement, name
+            assert events == [
+                "column_homology starts",
+                "column_homology returns",
+                "build_xd starts",
+                "build_xd returns",
+            ], name
 
     def test_whole_corpus_agrees(self, corpus):
         for name, d in corpus.items():
@@ -383,6 +415,17 @@ class TestCliAnalyze:
         monkeypatch.setattr(Path, "is_file", denied)
         assert main(["analyze", LEFT_TREFOIL]) == 1
         assert "Permission denied" in capsys.readouterr().err
+
+    def test_past_64_crossings_the_routes_agree(self, capsys):
+        # c = 65: the direct route's end maps no longer fit in bytes
+        code = to_pd_text(seeded_kinks(parse_pd(KNOT_10_44), 55, seed=1))
+        assert main(["analyze", code, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["crossings"] == 65 and doc["agreement"] is True
+        routes = doc["homology"]
+        assert routes["formula"] == routes["cellular"] == routes["direct"] != {}
 
     def test_disconnected_input_exit_code(self, capsys):
         assert main(["analyze", "X(1,1,2,2);X(3,3,4,4)"]) == 2
