@@ -35,6 +35,7 @@ from .presimplicial import (
     AxiomViolationError, PPSError, chain_complex, pps_from_json, pps_to_json, validate_pps
 )
 from .report import analyze_diagram, format_homology_table, render_polynomial, render_table_json
+from .xd import build_xd
 
 ENV_MAX_C = "ALMAX_MAX_C"
 
@@ -156,8 +157,8 @@ def build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     diagram = _load_diagram(args.input)
     report = analyze_diagram(diagram, auto_mirror=args.auto_mirror)
-    if args.dump_pps:
-        Path(args.dump_pps).write_text(pps_to_json(report.xd) + "\n")
+    if args.dump_pps is not None:
+        Path(args.dump_pps).write_text(pps_to_json(build_xd(report.graph)) + "\n")
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
     else:

@@ -253,6 +253,8 @@ def pps_from_json_dict(doc: dict) -> PartialPresimplicialSet:
     top_dim = doc.get("top_dim")
     if not isinstance(top_dim, int) or isinstance(top_dim, bool):
         raise PPSError("'top_dim' must be an integer")
+    if top_dim < -1:
+        raise PPSError(f"top_dim must be >= -1, got {top_dim}")
     cells: dict[int, tuple[str, ...]] = {}
     for key, names in _object(doc.get("cells", {}), "'cells'").items():
         k = _key(key, 0, top_dim, "cells")

@@ -20,7 +20,7 @@ from .diagram import diagram_to_json_dict
 from .homology import AbelianGroup, homology, nonzero_groups
 from .homotopy import HomotopyType, homotopy_type
 from .khovanov import column_homology
-from .presimplicial import PartialPresimplicialSet, chain_complex
+from .presimplicial import chain_complex
 from .state_graph import (
     StateGraph,
     build_state_graph,
@@ -37,7 +37,7 @@ ROUTES = ("formula", "cellular", "direct")
 class AnalysisReport(Record, frozen=False):
     __slots__ = (
         "input_diagram", "diagram", "mirrored", "a_adequate", "b_adequate",
-        "circles_all_b", "graph", "homotopy", "tables", "xd",
+        "circles_all_b", "graph", "homotopy", "tables",
     )
 
     def __init__(
@@ -51,7 +51,6 @@ class AnalysisReport(Record, frozen=False):
         graph: StateGraph,          # all-A state graph of ``diagram``
         homotopy: HomotopyType,
         tables: dict[str, dict[tuple[int, int], AbelianGroup]],
-        xd: PartialPresimplicialSet,
     ):
         self.input_diagram = input_diagram
         self.diagram = diagram
@@ -62,7 +61,6 @@ class AnalysisReport(Record, frozen=False):
         self.graph = graph
         self.homotopy = homotopy
         self.tables = tables
-        self.xd = xd
 
     @property
     def crossing_count(self) -> int:
@@ -194,10 +192,10 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
     PD code is rejected with ``NonPlanarDiagramError`` before any other work.
 
     The direct route's column is reduced (``column_homology``) before
-    ``build_xd`` and the cellular complex are built.  On T(2,n) both cover
-    the whole 2^c cube, and the report keeps the cells, so this order makes
-    the peak the larger of the two routes' working sets, not their sum.
-    Neither route reads the other's output; only the order changes.
+    ``build_xd`` and the cellular complex are built, and the report keeps
+    only groups, so on T(2,n), where both cover the whole 2^c cube, the peak
+    is the larger of the two routes' working sets, not their sum.  Neither
+    route reads the other's output.
     """
     check_planar(diagram)
     c = diagram.crossing_count
@@ -223,9 +221,16 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
             )
         raise InadequateDiagramError(f"diagram is not semiadequate ({detail})")
 
-    j_almax = c + 2 * len(graph.vertices) - 4  # report.j_almax, before the report holds the cells
+    j_almax = c + 2 * len(graph.vertices) - 4
     direct = column_homology(target, j_almax)
-    report = AnalysisReport(
+    homotopy = homotopy_type(graph)
+    cellular = nonzero_groups(homology(chain_complex(build_xd(graph), reduced=True)))
+
+    def place(groups: dict[int, AbelianGroup]) -> dict[tuple[int, int], AbelianGroup]:
+        """Reduced homology in realization degree k is Kh^{2k - c + 2, j_almax}."""
+        return {(2 * k - c + 2, j_almax): group for k, group in groups.items()}
+
+    return AnalysisReport(
         input_diagram=diagram,
         diagram=target,
         mirrored=mirrored,
@@ -233,21 +238,10 @@ def analyze_diagram(diagram: Diagram, auto_mirror: bool = False) -> AnalysisRepo
         b_adequate=b_ok,
         circles_all_b=len(graph_b.vertices),
         graph=graph,
-        homotopy=homotopy_type(graph),
-        tables={},
-        xd=build_xd(graph),
+        homotopy=homotopy,
+        tables=dict(formula=place(homotopy.reduced_homology()), cellular=place(cellular),
+                    direct=direct),
     )
-
-    def place(groups: dict[int, AbelianGroup]) -> dict[tuple[int, int], AbelianGroup]:
-        """Reduced homology in realization degree k is Kh^{2k - c + 2, j_almax}."""
-        return {(2 * k - c + 2, j_almax): group for k, group in groups.items()}
-
-    report.tables.update(
-        formula=place(report.homotopy.reduced_homology()),
-        cellular=place(nonzero_groups(homology(chain_complex(report.xd, reduced=True)))),
-        direct=direct,
-    )
-    return report
 
 
 def format_homology_table(table: dict[tuple[int, int], AbelianGroup]) -> str:

@@ -599,6 +599,7 @@ MALFORMED_PPS = {
         "['0']",
     ),
     "top-dim-not-an-integer": ({"top_dim": 1.7, "cells": {"0": ["v"], "1": ["e"]}}, "'top_dim'"),
+    "top-dim-below-minus-one": ({"top_dim": -2}, "top_dim must be >= -1, got -2"),
 }
 
 

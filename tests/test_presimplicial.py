@@ -275,7 +275,7 @@ class TestChainComplex:
 class TestJson:
     def test_round_trip_is_bit_exact(self):
         dumped = [pps_from_json(path.read_text()) for path in sorted(DATA.glob("*.json"))]
-        assert len(dumped) == 3
+        assert len(dumped) == 4
         for pps in (PROJECTIVE_PLANE, full_two_simplex(), EMPTY_PPS, *dumped):
             text = pps_to_json(pps)
             again = pps_from_json(text)

@@ -44,7 +44,7 @@ def mutable_pairs():
          ("ranks", "boundaries", "step")),
         (lambda: analyze_diagram(parse_pd(LEFT_TREFOIL)),
          ("input_diagram", "diagram", "mirrored", "a_adequate", "b_adequate",
-          "circles_all_b", "graph", "homotopy", "tables", "xd")),
+          "circles_all_b", "graph", "homotopy", "tables")),
     ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from almax.diagram import (
     InadequateDiagramError,
     NonPlanarDiagramError,
     add_positive_kink,
+    mirror,
     parse_pd,
     to_pd_text,
 )
@@ -180,8 +182,6 @@ class TestAnalyzeDiagram:
         assert not report.mirrored
 
     def test_auto_mirror_on_mirrored_8_20(self, corpus):
-        from almax.diagram import mirror
-
         flipped = mirror(corpus["8_20"])
         with pytest.raises(InadequateDiagramError):
             analyze_diagram(flipped)
@@ -362,12 +362,42 @@ class TestCliAnalyze:
             (LEFT_TREFOIL, "left_trefoil_cells.json"),
             (FIGURE_EIGHT, "figure_eight_cells.json"),
             (KNOT_8_20, "8_20_cells.json"),
+            # only B-adequate: the file holds the cells of the mirror, which is 8_20
+            (to_pd_text(mirror(parse_pd(KNOT_8_20))), "mirror_8_20_cells.json"),
         ],
     )
     def test_dump_pps_bytes_are_pinned(self, tmp_path, capsys, pd, pinned):
+        # --auto-mirror changes nothing for the A-adequate cases
         target = tmp_path / "cells.json"
-        assert main(["analyze", pd, "--dump-pps", str(target)]) == 0
+        assert main(["analyze", pd, "--auto-mirror", "--dump-pps", str(target)]) == 0
         assert target.read_bytes() == (DATA / pinned).read_bytes()
+
+    def test_cells_are_built_for_the_dump_only_and_not_kept(self, monkeypatch, tmp_path, capsys):
+        built = []
+
+        def spy(graph):
+            built.append(real(graph))
+            return built[-1]
+
+        real = report_module.build_xd
+        monkeypatch.setattr(report_module, "build_xd", spy)
+        monkeypatch.setattr(cli_module, "build_xd", spy)
+        assert main(["analyze", FIGURE_EIGHT]) == 0
+        assert len(built) == 1
+        assert main(["analyze", FIGURE_EIGHT, "--dump-pps", str(tmp_path / "cells.json")]) == 0
+        assert len(built) == 3
+        built.clear()
+        report = analyze_diagram(parse_pd(FIGURE_EIGHT))
+        assert report.agreement and len(built) == 1
+        # once analyze_diagram returns, nothing but the spy's list holds the cells
+        assert gc.get_referrers(built[0]) == [built]
+
+    def test_empty_dump_path_is_one_error_line(self, capsys):
+        assert main(["analyze", LEFT_TREFOIL, "--dump-pps", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:")
 
     def test_dumped_figure_eight_cells_feed_pps_homology(self, tmp_path, capsys):
         target = tmp_path / "fig8_cells.json"
