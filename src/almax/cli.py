@@ -155,6 +155,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
+    if args.dump_pps == "":  # Path("") is the working directory, which names no file
+        raise ValueError("--dump-pps needs a file name, got an empty one")
     diagram = _load_diagram(args.input)
     report = analyze_diagram(diagram, auto_mirror=args.auto_mirror)
     if args.dump_pps is not None:

@@ -362,12 +362,23 @@ class TestCliAnalyze:
             (LEFT_TREFOIL, "left_trefoil_cells.json"),
             (FIGURE_EIGHT, "figure_eight_cells.json"),
             (KNOT_8_20, "8_20_cells.json"),
+        ],
+    )
+    def test_dump_pps_bytes_are_pinned(self, tmp_path, capsys, pd, pinned):
+        target = tmp_path / "cells.json"
+        assert main(["analyze", pd, "--dump-pps", str(target)]) == 0
+        assert target.read_bytes() == (DATA / pinned).read_bytes()
+
+    @pytest.mark.parametrize(
+        "pd, pinned",
+        [
+            # A-adequate: --auto-mirror changes nothing
+            (KNOT_8_20, "8_20_cells.json"),
             # only B-adequate: the file holds the cells of the mirror, which is 8_20
             (to_pd_text(mirror(parse_pd(KNOT_8_20))), "mirror_8_20_cells.json"),
         ],
     )
-    def test_dump_pps_bytes_are_pinned(self, tmp_path, capsys, pd, pinned):
-        # --auto-mirror changes nothing for the A-adequate cases
+    def test_auto_mirror_dump_pps_bytes_are_pinned(self, tmp_path, capsys, pd, pinned):
         target = tmp_path / "cells.json"
         assert main(["analyze", pd, "--auto-mirror", "--dump-pps", str(target)]) == 0
         assert target.read_bytes() == (DATA / pinned).read_bytes()
@@ -396,17 +407,20 @@ class TestCliAnalyze:
         assert main(["analyze", LEFT_TREFOIL, "--dump-pps", ""]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error:")
+        assert captured.err == "error: --dump-pps needs a file name, got an empty one\n"
 
     def test_dumped_figure_eight_cells_feed_pps_homology(self, tmp_path, capsys):
         target = tmp_path / "fig8_cells.json"
-        assert main(["analyze", FIGURE_EIGHT, "--dump-pps", str(target)]) == 0
-        capsys.readouterr()
+        assert main(["analyze", FIGURE_EIGHT, "--format", "json", "--dump-pps", str(target)]) == 0
+        report = json.loads(capsys.readouterr().out)
         assert main(["pps", "homology", str(target), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         # the suspended projective plane: one Z/2 in degree 2
         assert doc["homology"] == {"2": "Z/2"}
+        # placed at (2k - c + 2, j_almax), it is the report's cellular table
+        c, j = report["crossings"], report["j_almax"]
+        placed = {f"{2 * int(k) - c + 2},{j}": group for k, group in doc["homology"].items()}
+        assert placed == report["homology"]["cellular"]
 
     def test_b_only_exit_codes(self, capsys):
         assert main(["analyze", B_ADEQUATE_ONLY]) == 2
